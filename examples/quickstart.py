@@ -25,10 +25,10 @@ def main() -> None:
         print(f"{label}:")
         print(f"  goodput            {res.aggregate_goodput_mbps:7.1f} Mbps")
         print(f"  collisions         {res.medium_frames_collided:7d}")
-        driver = res.driver_stats["C1"]
-        print(f"  vanilla TCP ACKs   {driver.vanilla_acks_sent:7d}")
-        print(f"  HACK frames        {driver.hack_frames_attached:7d} "
-              f"({driver.hack_frame_bytes} bytes on LL ACKs)")
+        driver = res.metrics_dict()["drivers"]["C1"]
+        print(f"  vanilla TCP ACKs   {driver['vanilla_acks_sent']:7d}")
+        print(f"  HACK frames        {driver['hack_frames_attached']:7d} "
+              f"({driver['hack_frame_bytes']} bytes on LL ACKs)")
         print(f"  ACKs reconstituted {res.decomp_counters['acks_reconstructed']:7d} "
               f"(CRC failures: {res.decomp_counters['crc_failures']})")
         print()

@@ -26,16 +26,18 @@ def main() -> None:
             file_bytes=megabytes * 1_000_000,
             duration_ns=60 * SEC, warmup_ns=100 * MS, stagger_ns=0))
         completion = res.completion_times_ns[1]
-        ap_driver = res.driver_stats["AP"]
+        ap_driver = res.metrics_dict()["drivers"]["AP"]
         print(f"{label}: {megabytes} MB backup")
         if completion is None:
             print("  did not complete within 60 s of simulated time")
             continue
         print(f"  completed in        {completion / 1e9:6.2f} s "
               f"({res.per_flow_goodput_mbps[1]:.1f} Mbps)")
-        print(f"  AP HACK frames      {ap_driver.hack_frames_attached:6d} "
+        print(f"  AP HACK frames      "
+              f"{ap_driver['hack_frames_attached']:6d} "
               f"(server ACKs compressed by the AP)")
-        print(f"  AP vanilla ACKs     {ap_driver.vanilla_acks_sent:6d}")
+        print(f"  AP vanilla ACKs     "
+              f"{ap_driver['vanilla_acks_sent']:6d}")
         print()
 
 

@@ -405,23 +405,27 @@ Because cells on different channels share nothing — per-channel RNG
 loss streams, per-cell traffic namespaces, global-index-derived
 addresses, flow-id ranges and wired `10.<cell>/16` subnets — a
 multi-channel scenario *factors exactly* into one independent
-sub-scenario per channel.  The channel-shard pipeline
-(`repro.workloads.sharding`) turns that into execution:
+sub-scenario per channel.  Every run goes through one path,
+plan -> execute -> fold (`repro.workloads.sharding`):
 
-* **plan** — `ShardPlan.from_config` partitions cells by channel;
-* **shard** — each shard rebuilds its cells in a fresh `Simulator`
-  through the same `CellBuilder` path, serially (`shard_jobs=1`) or
+* **plan** — `shard_jobs=None` is one shard over every cell;
+  with `shard_jobs` set, `ShardPlan.from_config` partitions cells by
+  channel;
+* **execute** — each shard builds its cells in a fresh `Simulator`
+  through the same `CellBuilder` path (`LiveShard`), runs it, and
+  collects a plain-data, picklable `ScenarioResult` — in process, or
   over a process pool (`shard_jobs=N`);
-* **merge** — `merge_outcomes` reassembles one `ScenarioResult`:
-  per-flow goodputs restored to unsharded insertion order (so
-  order-sensitive float reductions — aggregate goodput, Jain — stay
-  bit-identical), FCT collectors merged in cell order via the exact
-  `FctCollector.merge`/`FctAggregator.merge`, MAC/driver/ROHC
+* **fold** — `merge_outcomes` returns a lone result unchanged and
+  folds several into one `ScenarioResult`: per-flow goodputs in
+  unsharded insertion order (so order-sensitive float reductions —
+  aggregate goodput, Jain — stay bit-identical), FCT collectors
+  merged in cell order via the exact
+  `FctCollector.merge`/`FctAggregator.merge`, MAC/driver/ROHC/AQM
   counters summed, per-cell and per-channel blocks reordered
   globally.
 
 Everything in `metrics_dict()` is identical across
-`shard_jobs=None/1/N` *except* the kernel view: a merged result's own
+`shard_jobs=None/1/N` *except* the kernel view: a folded result's own
 `kernel_stats` is empty and each shard simulator's counters ride
 verbatim under `metrics_dict()["shards"]` (per-shard snapshot events
 make equality with the shared kernel impossible and meaningless, and
@@ -485,7 +489,7 @@ Three products per instrumented run:
 * **Time-series samples** — a simulated-time ticker (default 10 ms)
   records per-channel medium utilisation and per-cell AP MAC backlog,
   wired queue depths, live flow count, HACK buffer depth and ROHC CID
-  occupancy, streamed as JSONL (`meta` / `sample`* / `summary` /
+  occupancy, written as JSONL (`meta` / `sample`* / `summary` /
   `spans` lines, `json.dumps(..., sort_keys=True)`).
 * **Metrics registry** — counters / gauges (last/min/max/mean) /
   power-of-two histograms, surfaced as a `"telemetry"` block in
@@ -494,13 +498,13 @@ Three products per instrumented run:
 
 Sharding law: sample records are per `(tick, channel)`, metric names
 are disjoint per channel/cell, so a channel shard emits *exactly* the
-unsharded run's records for its channel and the merge (samples sorted
-by time then plan-channel order, registries merged, span blocks
-summed) reproduces the unsharded JSONL line for line —
+unsharded run's records for its channel and the fold (samples sorted
+by time then plan-channel order and summarised into the registry,
+span blocks summed) reproduces the unsharded JSONL line for line —
 `tests/obs/test_telemetry.py` pins byte-identical artifacts across
 unsharded / `--shard-jobs 1` / `--shard-jobs 2`.  Per-shard telemetry
-and kernel blocks ride under `metrics_dict()["shards"]`; shards never
-write files (the parent streams the merged artifact).
+and kernel blocks ride under `metrics_dict()["shards"]`; the session
+only samples, and the fold writes the one artifact per run.
 
 ```text
 python -m repro.cli simulate --clients 2 --telemetry run.jsonl \\

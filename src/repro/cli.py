@@ -147,7 +147,7 @@ def _build_parser() -> argparse.ArgumentParser:
                           "for churn scenarios (percentiles "
                           "histogram-quantised at ~2.3%% resolution)")
     sim.add_argument("--telemetry", default=None, metavar="PATH",
-                     help="stream time-series telemetry (per-channel "
+                     help="write time-series telemetry (per-channel "
                           "utilisation, AP/wired queue depths, live "
                           "flows, HACK buffer, ROHC CIDs) as JSONL "
                           "to PATH; summarise with `repro report`")

@@ -239,7 +239,7 @@ def execute_point(point: SweepPoint,
     executions of the same config produce the same metrics record.
 
     ``telemetry_dir`` (another execution knob) runs each scenario
-    point with the observability sampler on, streaming one JSONL
+    point with the observability sampler on, writing one JSONL
     artifact per point (``<signature>.jsonl``, the same content hash
     that keys the cache).  The ``"telemetry"`` block is stripped from
     the returned metrics so cached records stay byte-identical to

@@ -59,10 +59,6 @@ _floor = math.floor
 _log10 = math.log10
 
 
-def _bin_index(ms: float) -> int:
-    return _floor(_log10(max(ms, MIN_SOJOURN_MS)) * BINS_PER_DECADE)
-
-
 def _bin_value(index: int) -> float:
     return 10.0 ** ((index + 0.5) / BINS_PER_DECADE)
 
@@ -90,11 +86,6 @@ class SojournHistogram:
         self.bins: Dict[int, int] = {}
         self.count = 0
 
-    def record_ns(self, sojourn_ns: int) -> None:
-        index = _bin_index(sojourn_ns / MS)
-        self.bins[index] = self.bins.get(index, 0) + 1
-        self.count += 1
-
     def percentile(self, fraction: float) -> Optional[float]:
         return _histogram_percentile(self.bins, self.count, fraction)
 
@@ -114,8 +105,8 @@ class QdiscStats:
         self.sojourn = SojournHistogram()
 
     def on_dequeue(self, sojourn_ns: int) -> None:
-        # Hot path (once per delivered MPDU): the histogram update is
-        # inlined rather than delegated through record_ns/_bin_index.
+        # Hot path (once per delivered MPDU): the log-histogram binning
+        # is done inline.
         self.dequeued += 1
         ms = sojourn_ns / MS
         if ms < MIN_SOJOURN_MS:

@@ -19,7 +19,7 @@ from .metrics import Counter, Gauge, Histogram, MetricsRegistry
 from .report import TelemetryArtifactError, format_report, \
     load_telemetry, print_report
 from .sampler import TelemetryConfig, TelemetrySession, \
-    telemetry_meta, write_telemetry_file
+    telemetry_block, telemetry_meta, write_telemetry_file
 from .spans import KernelInstrument, merge_span_blocks, owner_key
 
 __all__ = [
@@ -37,6 +37,7 @@ __all__ = [
     "merge_span_blocks",
     "owner_key",
     "print_report",
+    "telemetry_block",
     "telemetry_meta",
     "write_chrome_trace",
     "write_telemetry_file",

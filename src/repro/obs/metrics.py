@@ -1,11 +1,10 @@
 """Metrics registry: counters, gauges and histograms.
 
-Subsystems register named metrics into a :class:`MetricsRegistry`
-during a telemetry-enabled run; the registry flattens to the
-``"telemetry"`` block of ``ScenarioResult.metrics_dict()`` and — the
-property the channel-shard pipeline rests on — merges exactly across
-shards.  Metric *names* carry the shard partition: every sampler
-metric is namespaced by channel or cell (``channel0.utilisation``,
+The telemetry layer summarises a run's sample records into a
+:class:`MetricsRegistry`, which flattens to the ``"telemetry"`` block
+of ``ScenarioResult.metrics_dict()``.  Registries also merge exactly.
+Metric *names* carry the shard partition: every sampler metric is
+namespaced by channel or cell (``channel0.utilisation``,
 ``cell3.ap_queue``), so a merged registry is the disjoint union of the
 per-shard registries and ``as_dict()`` (sorted by name) is
 bit-identical to the unsharded run's.

@@ -21,8 +21,8 @@ def load_telemetry(path: str) -> Dict[str, Any]:
     """Parse a telemetry JSONL artifact into its typed parts.
 
     Returns ``{"meta", "samples", "summary", "spans"}`` (summary and
-    spans may be None for an artifact truncated mid-run — the streamed
-    samples are still readable, which is the point of JSONL).
+    spans may be None for a truncated artifact — the samples before
+    the cut are still readable, which is the point of JSONL).
     """
     meta: Optional[Dict[str, Any]] = None
     samples: List[Dict[str, Any]] = []

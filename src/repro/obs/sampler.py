@@ -2,19 +2,21 @@
 
 A :class:`TelemetrySession` is the run-scoped object behind
 ``run_scenario(cfg, telemetry=TelemetryConfig(...))``: it installs the
-kernel instrument, schedules a simulated-time periodic sampler, and
-flattens everything into the ``"telemetry"`` metrics block plus the
-streaming JSONL artifact.
+kernel instrument and schedules a simulated-time periodic sampler.
+Everything downstream is a pure function of the sample records:
+:func:`telemetry_block` summarises them into the ``"telemetry"``
+metrics block, and :func:`write_telemetry_file` writes the JSONL
+artifact once per run, after the run's results are folded.
 
 Every sample tick emits **one record per channel** (not one per tick),
 with that channel's cells nested inside — the shard-friendly shape: a
 channel shard emits exactly the records the unsharded run would have
-emitted for that channel, so the merged, ``(t_ns, channel-order)``
-sorted stream is line-identical to the unsharded artifact.  Sampled
-per channel: medium utilisation, instantaneous busy flag and frame
-counters; per cell: AP MAC backlog, wired up/down queue depths, live
-churn flows, HACK compressed-ACK buffer depth, and ROHC compressor CID
-occupancy.
+emitted for that channel, so the ``(t_ns, channel-order)`` sorted
+union of the shards' records is the unsharded stream, and summarising
+it gives the unsharded block.  Sampled per channel: medium
+utilisation, instantaneous busy flag and frame counters; per cell: AP
+MAC backlog, wired up/down queue depths, live churn flows, HACK
+compressed-ACK buffer depth, and ROHC compressor CID occupancy.
 
 Telemetry is an *execution* knob like ``shard_jobs`` — never part of
 ``ScenarioConfig`` — so sweep cache signatures and golden rows are
@@ -28,7 +30,7 @@ JSONL artifact layout (one JSON object per line)::
 
     {"type": "meta", ...}        # scenario + sampling parameters
     {"type": "sample", ...}      # one per (tick, channel), time order
-    {"type": "summary", ...}     # merged metrics registry + counts
+    {"type": "summary", ...}     # metrics registry + counts
     {"type": "spans", ...}       # kernel span table (wall time)
 
 Only the ``spans`` line is nondeterministic (host wall times); meta,
@@ -38,7 +40,6 @@ across unsharded / serial-shard / pool-shard executions.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import os
 from dataclasses import dataclass
@@ -62,7 +63,7 @@ TELEMETRY_VERSION = 1
 class TelemetryConfig:
     """Observability knobs for one run (execution-side, not config).
 
-    ``telemetry_path`` streams the JSONL artifact; ``trace_export_path``
+    ``telemetry_path`` receives the JSONL artifact; ``trace_export_path``
     writes a Chrome trace-event JSON after the run (frames + kernel
     spans + counter tracks).  Both default off; constructing the
     object at all enables the sampler and metrics registry.
@@ -76,9 +77,6 @@ class TelemetryConfig:
     #: Individual spans retained for trace export (aggregates are
     #: always unbounded).
     max_spans: int = 20_000
-    #: Cap on retained sample records (None = unbounded; streaming
-    #: JSONL output is never capped).
-    max_samples: Optional[int] = None
     #: Cap on trace-export frame records.
     trace_max_records: Optional[int] = 200_000
 
@@ -88,19 +86,12 @@ class TelemetryConfig:
                 f"sample_interval_ns must be positive, "
                 f"got {self.sample_interval_ns}")
 
-    def without_paths(self) -> "TelemetryConfig":
-        """The per-shard variant: shards sample and time, but only the
-        parent process writes artifacts (after the merge)."""
-        return dataclasses.replace(self, telemetry_path=None,
-                                   trace_export_path=None)
-
 
 def telemetry_meta(cfg, config: TelemetryConfig,
                    channels: Sequence[int],
                    cell_indices: Sequence[int]) -> Dict[str, Any]:
-    """The artifact's first line.  Built from the *full* scenario, so
-    the shard pipeline's parent writes the same meta line the
-    unsharded run streams."""
+    """The artifact's first line, built from the *full* scenario
+    whichever shards ran it."""
     meta = {
         "type": "meta",
         "format": TELEMETRY_FORMAT,
@@ -137,35 +128,77 @@ def _cell_sojourn_p99(net) -> float:
     return block["sojourn_p99_ms"] or 0.0
 
 
+def telemetry_block(config: TelemetryConfig,
+                    samples: Sequence[Dict[str, Any]],
+                    spans: Optional[Dict[str, Any]]) -> Dict[str, Any]:
+    """The ``metrics_dict()["telemetry"]`` block of a sample stream.
+
+    The metrics registry is a pure function of the records, observed
+    in stream order; a run's own stream and the sorted union of its
+    shards' streams are the same sequence, so both give this block bit
+    for bit.  ``spans`` (the kernel span table, host wall times) is
+    the one key determinism oracles pop before comparing.
+    ``retained_samples`` and ``dropped_samples`` keep the artifact
+    format: every sample is retained.
+    """
+    registry = MetricsRegistry()
+    for record in samples:
+        channel = record["channel"]
+        registry.gauge(
+            f"channel{channel}.utilisation").observe(
+            record["utilisation"])
+        registry.gauge(
+            f"channel{channel}.busy").observe(record["busy"])
+        for cell in record["cells"]:
+            label = cell["label"]
+            for name in _CELL_FIELDS:
+                registry.gauge(f"{label}.{name}").observe(cell[name])
+            registry.histogram(
+                f"{label}.ap_queue").observe(cell["ap_queue"])
+        registry.counter("samples").inc()
+    return {
+        "sample_interval_ns": config.sample_interval_ns,
+        "samples": len(samples),
+        "retained_samples": len(samples),
+        "dropped_samples": 0,
+        "metrics": registry.as_dict(),
+        "enabled": True,
+        "spans": spans,
+    }
+
+
 def _dump_line(handle: IO[str], record: Dict[str, Any]) -> None:
     handle.write(json.dumps(record, sort_keys=True) + "\n")
 
 
 def write_telemetry_file(path: str, meta: Dict[str, Any],
                          samples: Sequence[Dict[str, Any]],
-                         summary: Dict[str, Any],
-                         spans: Optional[Dict[str, Any]]) -> None:
-    """Write a complete JSONL artifact in one pass (the shard-merge
-    path; unsharded runs stream the same bytes incrementally)."""
+                         block: Dict[str, Any]) -> None:
+    """Write a run's JSONL artifact: meta, samples, the deterministic
+    summary of ``block`` and, when timed, its spans table."""
     parent = os.path.dirname(path)
     if parent:
         os.makedirs(parent, exist_ok=True)
+    summary = {key: value for key, value in block.items()
+               if key not in ("enabled", "spans")}
+    summary["type"] = "summary"
     with open(path, "w") as handle:
         _dump_line(handle, meta)
         for sample in samples:
             _dump_line(handle, sample)
         _dump_line(handle, summary)
-        if spans is not None:
-            _dump_line(handle, dict(spans, type="spans"))
+        if block["spans"] is not None:
+            _dump_line(handle, dict(block["spans"], type="spans"))
 
 
 class TelemetrySession:
-    """One run's live observability state (sampler + registry + spans).
+    """One simulator's sampler and kernel instrument.
 
-    Wired by ``_run_cells``; the shard pipeline ships the session's
-    plain-data products (samples, registry, span block) through
-    :class:`~repro.workloads.sharding.ShardOutcome` and merges them in
-    the parent.
+    Built and started by the run's build step
+    (:class:`~repro.workloads.scenarios.LiveShard`); it only samples.
+    The collect step turns :attr:`samples` and the span table into the
+    shard's block (:meth:`block`), and the fold over the run's shards
+    writes the one JSONL artifact per run.  The session opens no files.
     """
 
     def __init__(self, cfg, config: TelemetryConfig, sim, media,
@@ -175,53 +208,29 @@ class TelemetrySession:
         self.sim = sim
         self.media = media
         self.channels: Tuple[int, ...] = tuple(channels)
-        self.registry = MetricsRegistry()
         self.instrument: Optional[KernelInstrument] = (
             KernelInstrument(config.max_spans)
             if config.kernel_spans else None)
         self.samples: List[Dict[str, Any]] = []
-        self.emitted = 0
-        self.dropped_samples = 0
-        self._stream: Optional[IO[str]] = None
         self._cells_by_channel: Dict[int, List[Any]] = {
             channel: [net for net in cells
                       if cfg.channel_of(net.index) == channel]
             for channel in self.channels}
         self._cell_indices = [net.index for net in cells]
 
-    # -- lifecycle -----------------------------------------------------
     def start(self) -> None:
         """Install the instrument and schedule the first sample tick
         (t=0; ticks repeat every ``sample_interval_ns`` of simulated
         time through the end of the run)."""
         if self.instrument is not None:
             self.sim.set_instrument(self.instrument)
-        if self.config.telemetry_path:
-            parent = os.path.dirname(self.config.telemetry_path)
-            if parent:
-                os.makedirs(parent, exist_ok=True)
-            self._stream = open(self.config.telemetry_path, "w")
-            _dump_line(self._stream, self.meta())
         self.sim.schedule(0, self._tick)
-
-    def finish(self) -> Dict[str, Any]:
-        """Flush the artifact (summary + spans lines) and return the
-        ``metrics_dict()["telemetry"]`` block."""
-        block = self.block()
-        if self._stream is not None:
-            _dump_line(self._stream, self.summary_record())
-            if block["spans"] is not None:
-                _dump_line(self._stream,
-                           dict(block["spans"], type="spans"))
-            self._stream.close()
-            self._stream = None
-        return block
 
     # -- sampling ------------------------------------------------------
     def _tick(self) -> None:
         now = self.sim.now
         for channel in self.channels:
-            self._emit(self._sample_channel(channel, now))
+            self.samples.append(self._sample_channel(channel, now))
         if now + self.config.sample_interval_ns <= self.cfg.duration_ns:
             self.sim.schedule(self.config.sample_interval_ns,
                               self._tick)
@@ -268,53 +277,14 @@ class TelemetrySession:
         }
         return record
 
-    def _emit(self, record: Dict[str, Any]) -> None:
-        registry = self.registry
-        channel = record["channel"]
-        registry.gauge(
-            f"channel{channel}.utilisation").observe(
-            record["utilisation"])
-        registry.gauge(
-            f"channel{channel}.busy").observe(record["busy"])
-        for cell in record["cells"]:
-            label = cell["label"]
-            for name in _CELL_FIELDS:
-                registry.gauge(f"{label}.{name}").observe(cell[name])
-            registry.histogram(
-                f"{label}.ap_queue").observe(cell["ap_queue"])
-        registry.counter("samples").inc()
-        self.emitted += 1
-        if (self.config.max_samples is None
-                or len(self.samples) < self.config.max_samples):
-            self.samples.append(record)
-        else:
-            self.dropped_samples += 1
-        if self._stream is not None:
-            _dump_line(self._stream, record)
-
     # -- flattening ----------------------------------------------------
     def meta(self) -> Dict[str, Any]:
         return telemetry_meta(self.cfg, self.config, self.channels,
                               self._cell_indices)
 
-    def summary_record(self) -> Dict[str, Any]:
-        """The deterministic summary line (no wall times)."""
-        return {
-            "type": "summary",
-            "sample_interval_ns": self.config.sample_interval_ns,
-            "samples": self.emitted,
-            "retained_samples": len(self.samples),
-            "dropped_samples": self.dropped_samples,
-            "metrics": self.registry.as_dict(),
-        }
-
     def block(self) -> Dict[str, Any]:
-        """The ``metrics_dict()["telemetry"]`` block: the deterministic
-        summary plus the wall-time spans table under ``"spans"`` (the
-        one key determinism oracles pop before comparing)."""
-        summary = self.summary_record()
-        del summary["type"]
-        summary["enabled"] = True
-        summary["spans"] = (self.instrument.as_dict()
-                            if self.instrument is not None else None)
-        return summary
+        """This simulator's ``metrics_dict()["telemetry"]`` block."""
+        return telemetry_block(
+            self.config, self.samples,
+            self.instrument.as_dict()
+            if self.instrument is not None else None)

@@ -4,8 +4,9 @@ This is the public high-level API most examples, tests and benchmarks
 use.  A :class:`ScenarioConfig` describes the paper's experimental
 setups declaratively (PHY mode, rate, clients, HACK policy, loss
 model, traffic); :func:`run_scenario` wires up the server, wired link,
-AP, clients, drivers and flows, runs the event loop, and returns a
-:class:`ScenarioResult` with goodputs and all collected statistics.
+AP, clients, drivers and flows (:class:`LiveShard`), runs the event
+loop, and returns a plain-data :class:`ScenarioResult` with goodputs
+and all collected statistics.
 
 Beyond the paper's static workloads, ``traffic="dynamic"`` plus an
 :class:`~repro.traffic.arrivals.ArrivalSpec` drives the scenario with
@@ -28,7 +29,7 @@ to what they always were.
 ``cell_channel`` or round-robin).  Cells on different channels never
 interact, which is what lets :func:`run_scenario`'s ``shard_jobs``
 knob hand each channel's cells to its own simulator — serially or
-across worker processes — and merge the shard results back into one
+across worker processes — and fold the shard results back into one
 :class:`ScenarioResult` (see :mod:`repro.workloads.sharding`); results
 gain per-channel blocks either way.
 """
@@ -67,6 +68,7 @@ from ..tcp.segment import FiveTuple
 from ..nodes.ap import ApNode
 from ..nodes.client import ClientNode
 from ..nodes.server import ServerNode, UdpSource
+from . import sharding
 
 
 @dataclass
@@ -314,23 +316,28 @@ class ScenarioConfig:
 
 @dataclass
 class ScenarioResult:
-    """Everything a benchmark needs to print a paper table/figure row."""
+    """Everything a benchmark needs to print a paper table/figure row.
+
+    Plain data only, so a result pickles across process boundaries and
+    :func:`repro.workloads.sharding.merge_outcomes` can fold several
+    into one.  The live simulation objects (flows, nodes, drivers,
+    flow managers) stay on the :class:`LiveShard` that produced it.
+    """
 
     config: ScenarioConfig
     per_flow_goodput_mbps: Dict[int, float]
     mac_stats: MacStats
-    driver_stats: Dict[str, Any]
+    #: The ``metrics_dict()["drivers"]`` payload: per-station HACK
+    #: driver counters, keyed by station address.
+    driver_metrics: Dict[str, Dict[str, int]]
     decomp_counters: Dict[str, int]
     medium_frames_sent: int
     medium_frames_collided: int
     medium_utilisation: float
-    flows: List[TcpFlow] = field(default_factory=list)
     completion_times_ns: Dict[int, Optional[int]] = field(
         default_factory=dict)
     sender_counters: Dict[int, Dict[str, int]] = field(
         default_factory=dict)
-    clients: Dict[str, Any] = field(default_factory=dict)
-    drivers: Dict[str, Any] = field(default_factory=dict)
     trace: Optional[MediumTracer] = None
     #: Event-kernel counters for this run (see ``SimStats.as_dict``).
     kernel_stats: Dict[str, int] = field(default_factory=dict)
@@ -354,29 +361,21 @@ class ScenarioResult:
     #: workload's aggregate goodput.
     udp_background_goodput_mbps: Dict[str, float] = field(
         default_factory=dict)
-    #: The live FlowManager (in-process consumers/tests; not metrics).
-    #: Multi-cell runs keep cell 1's here; see ``traffic_managers``.
-    traffic_manager: Optional[FlowManager] = None
     #: Per-cell result blocks (plain data; one per cell, "cell1"
     #: first).  Single-cell runs have exactly one block.
     cell_blocks: List[Dict[str, Any]] = field(default_factory=list)
-    #: One FlowManager per cell (None where the cell has no arrivals).
-    traffic_managers: List[Optional[FlowManager]] = field(
-        default_factory=list)
     #: Per-channel result blocks (plain data; one per channel used, in
     #: first-appearance order).  Single-channel runs have exactly one.
     channel_blocks: List[Dict[str, Any]] = field(default_factory=list)
-    #: Precomputed ``metrics_dict()["drivers"]`` payload.  Set on
-    #: results merged from shards (whose live driver objects never
-    #: cross the process boundary); None means "read ``drivers``".
-    driver_metrics: Optional[Dict[str, Dict[str, int]]] = None
-    #: How this result was executed when it came from the shard
-    #: pipeline (plan + per-shard wall clock; not part of metrics).
-    #: None for ordinary single-simulator runs.
+    #: Each cell's FCT collector (``FctCollector`` / ``FctAggregator``,
+    #: None where the cell has no arrivals), aligned with
+    #: ``cell_blocks``: what the fold merges into ``fct``.
+    cell_collectors: List[Any] = field(default_factory=list,
+                                       repr=False)
+    #: How this result was executed when it was folded from several
+    #: shards (plan + per-shard wall clock; not part of metrics).
+    #: None for single-simulator runs.
     shard_info: Optional[Dict[str, Any]] = None
-    #: The live per-cell nets, in build order (in-process consumers —
-    #: the shard pipeline reads per-cell flow ordering off these).
-    cell_nets: List[Any] = field(default_factory=list, repr=False)
     #: The ``metrics_dict()["telemetry"]`` block — present only when
     #: the run was executed with ``telemetry=TelemetryConfig(...)``
     #: (an execution knob: never in ScenarioConfig, never in sweep
@@ -384,15 +383,15 @@ class ScenarioResult:
     #: ``"spans"`` sub-block (host wall times).
     telemetry: Optional[Dict[str, Any]] = None
     #: Per-shard kernel/telemetry blocks (``metrics_dict()["shards"]``)
-    #: for results merged from the shard pipeline: one entry per shard
-    #: in plan order, each ``{channel, cells, kernel_stats,
-    #: telemetry}``.  Replaces the old summed ``kernel_stats`` (the
-    #: merged result's own ``kernel_stats`` is ``{}`` — summing
-    #: counters across independent simulators was never meaningful).
+    #: for results folded from several shards: one entry per shard in
+    #: plan order, each ``{channel, cells, kernel_stats, telemetry}``.
+    #: Such a result's own ``kernel_stats`` is ``{}`` — summing
+    #: counters across independent simulators is never meaningful.
     shard_blocks: Optional[List[Dict[str, Any]]] = None
-    #: The live TelemetrySession (in-process consumers/tests; not
-    #: metrics).  None for shard-merged results.
-    telemetry_session: Optional[Any] = field(default=None, repr=False)
+    #: The sample records behind ``telemetry`` (time order; empty
+    #: without telemetry) — what the fold writes to the JSONL artifact.
+    telemetry_samples: List[Dict[str, Any]] = field(
+        default_factory=list, repr=False)
 
     @property
     def aggregate_goodput_mbps(self) -> float:
@@ -419,11 +418,6 @@ class ScenarioResult:
         cacheable and identical across serial and parallel execution
         (all dict keys are strings so a JSON round-trip is lossless).
         """
-        if self.driver_metrics is not None:
-            drivers = {name: dict(stats)
-                       for name, stats in self.driver_metrics.items()}
-        else:
-            drivers = driver_metrics_dict(self.drivers)
         out = {
             "aggregate_goodput_mbps": self.aggregate_goodput_mbps,
             "per_flow_goodput_mbps": {
@@ -444,7 +438,8 @@ class ScenarioResult:
             "retry_table": {dst: dict(data) for dst, data
                             in self.mac_stats.retry_table().items()},
             "time_breakdown_ms": self.mac_stats.time_breakdown_ms(),
-            "drivers": drivers,
+            "drivers": {name: dict(stats) for name, stats
+                        in self.driver_metrics.items()},
             "kernel_stats": dict(self.kernel_stats),
             "fct": self.fct,
             "udp_background_goodput_mbps":
@@ -529,24 +524,10 @@ class _CellNet:
         self.flow_manager: Optional[FlowManager] = None
 
 
-def driver_metrics_dict(
-        drivers: Dict[str, HackDriver]) -> Dict[str, Dict[str, int]]:
-    """The ``metrics_dict()["drivers"]`` payload from live drivers.
-
-    Shared with the shard pipeline, which flattens each shard's
-    drivers to plain data before crossing the process boundary."""
-    out: Dict[str, Dict[str, int]] = {}
-    for name, driver in drivers.items():
-        stats = driver.stats
-        out[name] = {
-            "vanilla_acks_sent": stats.vanilla_acks_sent,
-            "vanilla_ack_bytes": stats.vanilla_ack_bytes,
-            "hack_frames_attached": stats.hack_frames_attached,
-            "hack_frame_bytes": stats.hack_frame_bytes,
-            "compressed_acks": driver.compressed_acks,
-            "compressed_bytes": driver.compressed_bytes,
-        }
-    return out
+#: The ``metrics_dict()["decompressor"]`` keys, zero when unused.
+_DECOMPRESSOR_KEYS = ("acks_reconstructed", "crc_failures",
+                      "unknown_cid", "duplicates_skipped",
+                      "damaged_skips", "parse_errors")
 
 
 def _validate_traffic(cfg: ScenarioConfig) -> None:
@@ -805,16 +786,16 @@ def run_scenario(cfg: ScenarioConfig,
     wiring per cell (see the module docstring), spreading the cells
     over ``cfg.channels`` independent collision domains.
 
-    ``shard_jobs`` opts a multi-channel config into the channel-shard
-    pipeline (:mod:`repro.workloads.sharding`): cells are partitioned
-    by channel into independent simulators — ``1`` runs the shards
-    serially in-process, ``N > 1`` fans them over a process pool — and
-    the shard results are merged into one :class:`ScenarioResult`.
-    ``None`` (the default) runs everything in a single simulator
-    regardless of channel count.  Merged metrics are identical to the
-    single-simulator run, with the merged ``kernel_stats`` empty and
-    the per-shard kernel counters carried under ``metrics_dict()
-    ["shards"]`` instead.
+    Every run is plan -> execute -> fold
+    (:mod:`repro.workloads.sharding`).  ``shard_jobs=None`` (the
+    default) plans one shard over every cell and runs it in process:
+    the fold returns that shard's result unchanged.  ``shard_jobs`` set plans one shard per channel
+    — ``1`` runs them serially in process, ``N > 1`` fans them over a
+    process pool — and the fold merges the shard results into one
+    :class:`ScenarioResult` identical to the single-simulator run,
+    except that its own ``kernel_stats`` is empty and the per-shard
+    kernel counters ride under ``metrics_dict()["shards"]``.  A
+    single-channel config is a one-shard plan either way.
 
     ``telemetry`` (a :class:`~repro.obs.TelemetryConfig`) turns on the
     observability layer — kernel span timing, the periodic time-series
@@ -826,208 +807,219 @@ def run_scenario(cfg: ScenarioConfig,
     """
     cfg.validate_cells()
     _validate_traffic(cfg)
-    if shard_jobs is not None:
-        from .sharding import ShardPlan, run_sharded
-        plan = ShardPlan.from_config(cfg)
-        if plan.shard_count > 1:
-            return run_sharded(cfg, plan, shard_jobs,
-                               telemetry=telemetry)
-    return _run_cells(cfg, tuple(range(cfg.cells)),
-                      telemetry=telemetry)
+    plan = sharding.ShardPlan.single(cfg) if shard_jobs is None \
+        else sharding.ShardPlan.from_config(cfg)
+    results, shard_info = sharding.execute_plan(cfg, plan, shard_jobs,
+                                                telemetry)
+    return sharding.merge_outcomes(cfg, plan, results, shard_info,
+                                   telemetry)
 
 
-def _run_cells(cfg: ScenarioConfig, cell_indices: Tuple[int, ...],
-               telemetry: Optional[TelemetryConfig] = None
-               ) -> ScenarioResult:
-    """Build and run the given cells (global indices) in one simulator.
+def run_shard(cfg: ScenarioConfig, cell_indices: Tuple[int, ...],
+              telemetry: Optional[TelemetryConfig] = None
+              ) -> ScenarioResult:
+    """Build, run and collect the given cells (global indices) in one
+    simulator — one shard of a plan."""
+    return LiveShard(cfg, cell_indices, telemetry).run().collect()
 
-    Called with every cell for ordinary runs, or with one channel's
-    cells for a shard.  Single-channel full runs take the exact
-    historical construction order (bit-identity with the pre-channel
-    code path)."""
-    sim = Simulator()
-    rngs = RngRegistry(cfg.seed)
-    channels = cfg.ordered_channels(cell_indices)
-    media = ChannelizedMedium(sim)
-    loss_models: Dict[int, LossModel] = {}
-    for channel in channels:
-        loss_models[channel] = cfg.loss.build(
-            rngs.stream(_loss_stream_name(channel)))
-        media.add_channel(channel, loss_models[channel])
-    # One tracer serves both cfg.trace (the result's in-process trace)
-    # and the telemetry layer's Chrome-trace export; the channelized
-    # tracer tags every record with its channel id.
-    want_export_trace = (telemetry is not None
-                         and telemetry.trace_export_path is not None)
-    tracer = None
-    if cfg.trace:
-        tracer = MediumTracer(media, cfg.trace_max_records)
-    elif want_export_trace:
-        tracer = MediumTracer(media, telemetry.trace_max_records)
-    mac_stats = MacStats()
 
-    builder = CellBuilder(cfg, sim, rngs, mac_stats)
-    for cell_index in cell_indices:
-        channel = cfg.channel_of(cell_index)
-        builder.build(cell_index, media.medium(channel),
-                      loss_models[channel])
+class LiveShard:
+    """The build step: the given cells (global indices; default all)
+    wired into one fresh simulator, with every live object a run
+    touches — the simulator, the channelized medium, the per-cell nets
+    (``cells``) and their flows, nodes, drivers and flow managers, and
+    the telemetry session.
 
-    cells = builder.cells
-    flows = builder.flows
-    clients = builder.clients
-    drivers = builder.drivers
+    :meth:`run` executes it and :meth:`collect` flattens it into a
+    plain-data :class:`ScenarioResult`.  Code that inspects live state
+    after a run holds on to the shard itself.  Building every cell
+    takes the exact historical construction order (bit-identity with
+    the pre-channel code path).
+    """
 
-    # Adversarial actors (inactive plans install nothing at all, so
-    # zero-intensity runs stay bit-identical to adversary=None runs;
-    # greedy stations were already substituted at MAC build time).
-    adversary_runtime = install_adversary(
-        cfg.adversary, sim, rngs, media, channels, cfg.duration_ns)
-    if adversary_runtime is not None:
-        adversary_runtime.greedy_macs = builder.greedy_macs
+    def __init__(self, cfg: ScenarioConfig,
+                 cell_indices: Optional[Tuple[int, ...]] = None,
+                 telemetry: Optional[TelemetryConfig] = None):
+        cfg.validate_cells()
+        _validate_traffic(cfg)
+        if cell_indices is None:
+            cell_indices = tuple(range(cfg.cells))
+        self.cfg = cfg
+        self.cell_indices = tuple(cell_indices)
+        self.telemetry = telemetry
+        self.sim = sim = Simulator()
+        rngs = RngRegistry(cfg.seed)
+        self.channels = cfg.ordered_channels(self.cell_indices)
+        self.media = media = ChannelizedMedium(sim)
+        loss_models: Dict[int, LossModel] = {}
+        for channel in self.channels:
+            loss_models[channel] = cfg.loss.build(
+                rngs.stream(_loss_stream_name(channel)))
+            media.add_channel(channel, loss_models[channel])
+        # One tracer serves both cfg.trace (the result's trace) and
+        # the telemetry layer's Chrome-trace export; the channelized
+        # tracer tags every record with its channel id.
+        self.tracer: Optional[MediumTracer] = None
+        if cfg.trace:
+            self.tracer = MediumTracer(media, cfg.trace_max_records)
+        elif telemetry is not None and telemetry.trace_export_path:
+            self.tracer = MediumTracer(media, telemetry.trace_max_records)
+        self.mac_stats = MacStats()
 
-    session: Optional[TelemetrySession] = None
-    if telemetry is not None:
-        session = TelemetrySession(cfg, telemetry, sim, media,
-                                   channels, cells)
-        session.start()
+        self.builder = builder = CellBuilder(cfg, sim, rngs,
+                                             self.mac_stats)
+        for cell_index in self.cell_indices:
+            channel = cfg.channel_of(cell_index)
+            builder.build(cell_index, media.medium(channel),
+                          loss_models[channel])
+        self.cells = builder.cells
 
-    # --- Measurement windows -----------------------------------------
-    def snapshot_all() -> None:
-        for flow in flows:
-            flow.snapshot(sim.now)
-        for client in clients.values():
+        # Adversarial actors (inactive plans install nothing at all, so
+        # zero-intensity runs stay bit-identical to adversary=None runs;
+        # greedy stations were already substituted at MAC build time).
+        self.adversary_runtime = install_adversary(
+            cfg.adversary, sim, rngs, media, self.channels,
+            cfg.duration_ns)
+        if self.adversary_runtime is not None:
+            self.adversary_runtime.greedy_macs = builder.greedy_macs
+
+        self.session: Optional[TelemetrySession] = None
+        if telemetry is not None:
+            self.session = TelemetrySession(cfg, telemetry, sim, media,
+                                            self.channels, self.cells)
+            self.session.start()
+
+        # --- Measurement windows ---------------------------------------
+        sim.schedule(cfg.warmup_ns, self._snapshot)
+        sim.schedule(cfg.duration_ns, self._snapshot, priority=10)
+
+    def _snapshot(self) -> None:
+        now = self.sim.now
+        for flow in self.builder.flows:
+            flow.snapshot(now)
+        for client in self.builder.clients.values():
             client.snapshot_udp()
 
-    sim.schedule(cfg.warmup_ns, snapshot_all)
-    sim.schedule(cfg.duration_ns, snapshot_all, priority=10)
-
-    sim.run(until=cfg.duration_ns + 1)
-
-    telemetry_block: Optional[Dict[str, Any]] = None
-    if session is not None:
-        telemetry_block = session.finish()
-        if want_export_trace:
-            document = chrome_trace(
-                frames=tracer.records if tracer is not None else (),
+    def run(self) -> "LiveShard":
+        """Run the simulator to the end of the scenario, then write the
+        Chrome trace when one was asked for (a trace records a single
+        simulator's frames, so this is the only place it is written)."""
+        self.sim.run(until=self.cfg.duration_ns + 1)
+        for net in self.cells:
+            if net.flow_manager is not None:
+                net.flow_manager.finalize()
+        telemetry = self.telemetry
+        if telemetry is not None and telemetry.trace_export_path:
+            session = self.session
+            write_chrome_trace(telemetry.trace_export_path, chrome_trace(
+                frames=self.tracer.records,
                 spans=(session.instrument.spans
                        if session.instrument is not None else ()),
                 samples=session.samples,
-                meta=session.meta())
-            write_chrome_trace(telemetry.trace_export_path, document)
+                meta=session.meta()))
+        return self
 
-    # --- Results -------------------------------------------------------
-    per_flow: Dict[int, float] = {}
-    completion: Dict[int, Optional[int]] = {}
-    sender_counters: Dict[int, Dict[str, int]] = {}
-    for flow in flows:
-        if cfg.file_bytes is not None and flow.completed_at is not None:
-            duration = flow.completed_at - (flow.started_at or 0)
-            per_flow[flow.flow_id] = throughput_mbps(cfg.file_bytes,
-                                                     duration)
-        else:
-            per_flow[flow.flow_id] = flow.stats.goodput_mbps(
-                cfg.warmup_ns, cfg.duration_ns)
-        completion[flow.flow_id] = flow.completion_time_ns()
-        sender_counters[flow.flow_id] = {
-            "timeouts": flow.sender.timeouts,
-            "fast_retransmits": flow.sender.fast_retransmits,
-            "retransmits": flow.sender.retransmits,
-            "segments_sent": flow.sender.segments_sent,
-        }
+    def collect(self) -> ScenarioResult:
+        """The collect step: this shard's plain-data result."""
+        cfg = self.cfg
+        builder = self.builder
+        media = self.media
+        drivers = builder.drivers
+        per_flow: Dict[int, float] = {}
+        completion: Dict[int, Optional[int]] = {}
+        sender_counters: Dict[int, Dict[str, int]] = {}
+        for flow in builder.flows:
+            if cfg.file_bytes is not None \
+                    and flow.completed_at is not None:
+                duration = flow.completed_at - (flow.started_at or 0)
+                per_flow[flow.flow_id] = throughput_mbps(cfg.file_bytes,
+                                                         duration)
+            else:
+                per_flow[flow.flow_id] = flow.stats.goodput_mbps(
+                    cfg.warmup_ns, cfg.duration_ns)
+            completion[flow.flow_id] = flow.completion_time_ns()
+            sender_counters[flow.flow_id] = {
+                "timeouts": flow.sender.timeouts,
+                "fast_retransmits": flow.sender.fast_retransmits,
+                "retransmits": flow.sender.retransmits,
+                "segments_sent": flow.sender.segments_sent,
+            }
 
-    def sink_mbps(name: str) -> Optional[float]:
-        snaps = clients[name].udp_snapshots
-        if len(snaps) < 2:
-            return None
-        (t0, b0), (t1, b1) = snaps[0], snaps[-1]
-        return throughput_mbps(b1 - b0, t1 - t0)
+        def sink_mbps(name: str) -> Optional[float]:
+            snaps = builder.clients[name].udp_snapshots
+            if len(snaps) < 2:
+                return None
+            (t0, b0), (t1, b1) = snaps[0], snaps[-1]
+            return throughput_mbps(b1 - b0, t1 - t0)
 
-    udp_ids: Dict[int, str] = {}        # pseudo-flow id -> client
-    for pseudo_id, name, source in builder.udp_sources:
-        mbps = sink_mbps(name)
-        if mbps is not None:
-            per_flow[pseudo_id] = mbps
-            udp_ids[pseudo_id] = name
+        udp_ids: Dict[int, str] = {}        # pseudo-flow id -> client
+        for pseudo_id, name, _source in builder.udp_sources:
+            mbps = sink_mbps(name)
+            if mbps is not None:
+                per_flow[pseudo_id] = mbps
+                udp_ids[pseudo_id] = name
 
-    background_mbps: Dict[str, float] = {}
-    for name, source in builder.udp_background:
-        mbps = sink_mbps(name)
-        if mbps is not None:
-            background_mbps[name] = mbps
+        background_mbps: Dict[str, float] = {}
+        for name, _source in builder.udp_background:
+            mbps = sink_mbps(name)
+            if mbps is not None:
+                background_mbps[name] = mbps
 
-    for net in cells:
-        if net.flow_manager is not None:
-            net.flow_manager.finalize()
-
-    fct_summary: Optional[Dict[str, Any]] = None
-    managers = [net.flow_manager for net in cells
-                if net.flow_manager is not None]
-    if len(managers) == 1:
-        fct_summary = managers[0].collector.summary(cfg.duration_ns)
-    elif managers:
-        merged = type(managers[0].collector)()
-        for manager in managers:
-            merged.merge(manager.collector)
-        fct_summary = merged.summary(cfg.duration_ns)
-
-    decomp: Dict[str, int] = {
-        "acks_reconstructed": 0, "crc_failures": 0, "unknown_cid": 0,
-        "duplicates_skipped": 0, "damaged_skips": 0, "parse_errors": 0}
-    for driver in drivers.values():
-        for key, value in driver.decompressor_counters().items():
-            decomp[key] += value
-
-    rohc: Dict[str, int] = dict.fromkeys(
-        HackDriver.ROHC_ROBUSTNESS_KEYS, 0)
-    for driver in drivers.values():
-        for key, value in driver.rohc_robustness_counters().items():
-            rohc[key] = rohc.get(key, 0) + value
-
-    adversary_counters = None
-    if cfg.adversary is not None:
-        adversary_counters = adversary_block(cfg.adversary,
-                                             adversary_runtime)
-
-    aqm = merge_aqm_blocks(driver.mac.aqm_stats()
-                           for driver in drivers.values())
-
-    cell_blocks = [
-        _cell_block(cfg, net, media.medium(cfg.channel_of(net.index)),
-                    per_flow, udp_ids, background_mbps)
-        for net in cells]
-    channel_blocks = [
-        _channel_block(cfg, media.medium(channel), cell_indices)
-        for channel in channels]
-
-    return ScenarioResult(
-        config=cfg,
-        per_flow_goodput_mbps=per_flow,
-        mac_stats=mac_stats,
-        driver_stats={name: d.stats for name, d in drivers.items()},
-        decomp_counters=decomp,
-        medium_frames_sent=media.frames_sent,
-        medium_frames_collided=media.frames_collided,
-        medium_utilisation=media.utilisation(cfg.duration_ns),
-        flows=flows,
-        completion_times_ns=completion,
-        sender_counters=sender_counters,
-        clients=clients,
-        drivers=drivers,
-        trace=tracer if cfg.trace else None,
-        kernel_stats=sim.stats.as_dict(),
-        rohc_counters=rohc,
-        aqm_counters=aqm,
-        adversary_counters=adversary_counters,
-        fct=fct_summary,
-        traffic_manager=cells[0].flow_manager,
-        traffic_managers=[net.flow_manager for net in cells],
-        udp_background_goodput_mbps=background_mbps,
-        cell_blocks=cell_blocks,
-        channel_blocks=channel_blocks,
-        cell_nets=cells,
-        telemetry=telemetry_block,
-        telemetry_session=session,
-    )
+        collectors = [net.flow_manager.collector
+                      if net.flow_manager is not None else None
+                      for net in self.cells]
+        session = self.session
+        return ScenarioResult(
+            config=cfg,
+            per_flow_goodput_mbps=per_flow,
+            mac_stats=self.mac_stats,
+            driver_metrics={
+                name: {
+                    "vanilla_acks_sent": driver.stats.vanilla_acks_sent,
+                    "vanilla_ack_bytes": driver.stats.vanilla_ack_bytes,
+                    "hack_frames_attached":
+                        driver.stats.hack_frames_attached,
+                    "hack_frame_bytes": driver.stats.hack_frame_bytes,
+                    "compressed_acks": driver.compressed_acks,
+                    "compressed_bytes": driver.compressed_bytes,
+                }
+                for name, driver in drivers.items()},
+            decomp_counters=sharding.sum_counters(
+                (driver.decompressor_counters()
+                 for driver in drivers.values()),
+                _DECOMPRESSOR_KEYS),
+            medium_frames_sent=media.frames_sent,
+            medium_frames_collided=media.frames_collided,
+            medium_utilisation=media.utilisation(cfg.duration_ns),
+            completion_times_ns=completion,
+            sender_counters=sender_counters,
+            trace=self.tracer if cfg.trace else None,
+            kernel_stats=self.sim.stats.as_dict(),
+            rohc_counters=sharding.sum_counters(
+                (driver.rohc_robustness_counters()
+                 for driver in drivers.values()),
+                HackDriver.ROHC_ROBUSTNESS_KEYS),
+            aqm_counters=merge_aqm_blocks(
+                driver.mac.aqm_stats() for driver in drivers.values()),
+            adversary_counters=(
+                adversary_block(cfg.adversary, self.adversary_runtime)
+                if cfg.adversary is not None else None),
+            fct=sharding.merge_fct(collectors, cfg.duration_ns),
+            udp_background_goodput_mbps=background_mbps,
+            cell_blocks=[
+                _cell_block(cfg, net,
+                            media.medium(cfg.channel_of(net.index)),
+                            per_flow, udp_ids, background_mbps)
+                for net in self.cells],
+            channel_blocks=[
+                _channel_block(cfg, media.medium(channel),
+                               self.cell_indices)
+                for channel in self.channels],
+            cell_collectors=collectors,
+            telemetry=session.block() if session is not None else None,
+            telemetry_samples=(session.samples
+                               if session is not None else []),
+        )
 
 
 def _channel_block(cfg: ScenarioConfig, medium: Medium,

@@ -1,34 +1,34 @@
-"""Channel sharding: plan -> shard -> merge for city-scale scenarios.
+"""Plan -> execute -> fold: the one path every scenario run takes.
 
 Cells on different channels share nothing — not carrier sense, not
 collisions, not loss draws (per-channel RNG streams), not flow ids,
 not wired /16s.  A multi-channel scenario therefore *factors exactly*
-into one independent sub-scenario per channel, and this module turns
-that observation into the execution pipeline behind
-``run_scenario(cfg, shard_jobs=...)``:
+into one independent sub-scenario per channel.  ``run_scenario`` runs
+every config through the same three steps:
 
-* **plan** — :class:`ShardPlan` partitions the cells by channel
-  (:meth:`ShardPlan.from_config`); one shard per channel in use.
-* **shard** — each shard rebuilds *its* cells in a fresh
-  :class:`~repro.sim.engine.Simulator` via the same
-  :class:`~repro.workloads.scenarios.CellBuilder` path the unsharded
-  run takes.  Because every id (addresses, static flow ids, UDP
-  pseudo-ids, RNG stream names, IP prefixes) derives from the global
-  cell index, the shard's event sequence is identical to the unsharded
-  run's sub-sequence for those cells.  Shards run serially
-  (``shard_jobs=1``) or across a process pool (``shard_jobs=N``) with
-  the same submit/poll shape the sweep engine uses; each shard ships a
-  plain-data :class:`ShardOutcome` back.
-* **merge** — :func:`merge_outcomes` reassembles one
-  :class:`~repro.workloads.scenarios.ScenarioResult`: per-flow
-  goodputs in the unsharded insertion order (so order-sensitive float
-  reductions — aggregate goodput, Jain — are bit-identical),
-  per-cell FCT collectors merged in cell order through the existing
-  ``FctCollector.merge`` / ``FctAggregator.merge``, MAC/driver/
-  decompressor counters summed, and per-cell / per-channel blocks
-  reordered globally.
+* **plan** — which cells each simulator builds.  ``shard_jobs=None``
+  is a one-shard plan over every cell; with ``shard_jobs`` set,
+  :class:`ShardPlan` partitions the cells by channel
+  (:meth:`ShardPlan.from_config`), one shard per channel in use.
+* **execute** — :func:`execute_plan` runs each shard's cells in a
+  fresh :class:`~repro.sim.engine.Simulator` through the same
+  :class:`~repro.workloads.scenarios.CellBuilder` path, serially in
+  process or across a process pool with the sweep engine's
+  submit/poll shape.  Because every id (addresses, static flow ids,
+  UDP pseudo-ids, RNG stream names, IP prefixes) derives from the
+  global cell index, a shard's event sequence is the unsharded run's
+  sub-sequence for its cells.  Each shard returns a plain-data
+  :class:`~repro.workloads.scenarios.ScenarioResult`.
+* **fold** — :func:`merge_outcomes` turns the shard results into the
+  run's result.  A lone result comes back unchanged.  Several are
+  folded with every order-sensitive sequence rebuilt in the unsharded
+  order (flows by ascending id, cells ascending, channels in plan
+  order), so float reductions — aggregate goodput, Jain, FCT
+  statistics — are bit-identical to the single-simulator run.  This
+  module is also the one home of the cross-cell FCT merge
+  (:func:`merge_fct`) and the counter sums (:func:`sum_counters`).
 
-``kernel_stats`` is handled per shard rather than summed: a merged
+``kernel_stats`` is reported per shard rather than summed: a folded
 result's own ``kernel_stats`` is empty (summing counters across
 independent simulators never equalled the single shared kernel of an
 unsharded run — e.g. the two snapshot events are scheduled once per
@@ -38,13 +38,11 @@ telemetry}`` block per shard, plan order).  Everything else in
 ``metrics_dict()`` is identical across ``shard_jobs=None`` / ``1`` /
 ``N``.
 
-Telemetry (``run_scenario(..., telemetry=...)``) shards cleanly too:
-each shard runs its own sampler and kernel instrument
-(``TelemetryConfig.without_paths()`` — only the parent writes
-artifacts), and the merge reassembles the unsharded stream exactly —
-samples sorted by ``(t_ns, plan channel order)`` are line-identical to
-the unsharded JSONL, and the disjointly-named per-channel/per-cell
-registry entries union back into the unsharded registry.
+Telemetry (``run_scenario(..., telemetry=...)``) folds the same way:
+each shard samples its own channels, the fold sorts the union of the
+sample records by ``(t_ns, plan channel order)`` — the unsharded
+stream — and summarises it, and the fold alone writes the run's one
+JSONL artifact.
 """
 
 from __future__ import annotations
@@ -53,13 +51,14 @@ import multiprocessing
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, \
     wait
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, Iterable, List, Optional, Sequence, \
+    Tuple
 
 from ..adversary.runtime import merge_adversary_blocks
 from ..mac.qdisc import merge_aqm_blocks
-from ..obs import MetricsRegistry, TelemetryConfig, \
-    merge_span_blocks, telemetry_meta, write_telemetry_file
+from ..obs import merge_span_blocks, telemetry_block, telemetry_meta, \
+    write_telemetry_file
 from ..stats.collectors import MacStats
 
 
@@ -86,6 +85,14 @@ class ShardPlan:
                    cells_by_channel=tuple(
                        tuple(cells) for cells in channels.values()))
 
+    @classmethod
+    def single(cls, cfg) -> "ShardPlan":
+        """One shard running every cell in one simulator: the
+        unsharded run, whatever the channel count (the shard is
+        labelled with cell 0's channel)."""
+        return cls(channels=(cfg.channel_of(0),),
+                   cells_by_channel=(tuple(range(cfg.cells)),))
+
     @property
     def shard_count(self) -> int:
         return len(self.channels)
@@ -105,59 +112,6 @@ class ShardPlan:
         }
 
 
-@dataclass
-class ShardOutcome:
-    """One shard's results, flattened to picklable plain data.
-
-    Live simulation objects (flows, clients, drivers, managers) never
-    cross the process boundary; everything a merged
-    ``ScenarioResult.metrics_dict()`` needs is extracted here, keyed
-    by *global* cell index so the merge can restore unsharded
-    ordering.  The FCT collectors themselves (plain-data record lists
-    / histograms) do ship — the merge reuses their exact ``merge``
-    methods.
-    """
-
-    channel: int
-    cell_indices: Tuple[int, ...]
-    #: cell -> [(flow id, goodput)] for static TCP flows, build order.
-    tcp_flows_by_cell: Dict[int, List[Tuple[int, float]]]
-    #: cell -> [(pseudo id, goodput, client)] for udp_download sinks.
-    udp_flows_by_cell: Dict[int, List[Tuple[int, float, str]]]
-    completion_times_ns: Dict[int, Optional[int]]
-    sender_counters: Dict[int, Dict[str, int]]
-    mac_stats: MacStats
-    driver_metrics: Dict[str, Dict[str, int]]
-    decomp_counters: Dict[str, int]
-    kernel_stats: Dict[str, int]
-    udp_background_goodput_mbps: Dict[str, float]
-    #: ROHC robustness counters (metrics_dict()["rohc"]; summed).
-    rohc_counters: Dict[str, int] = field(default_factory=dict)
-    #: AQM block (metrics_dict()["aqm"]; counters summed, sojourn
-    #: histograms merged bin-wise, percentiles recomputed).
-    aqm_counters: Dict[str, Any] = field(default_factory=dict)
-    #: Adversary block (metrics_dict()["adversary"]; None when the
-    #: config has no adversary; integer fields summed on merge).
-    adversary_counters: Optional[Dict[str, Any]] = None
-    #: (cell index, cell block) in build (= ascending-cell) order.
-    cell_blocks: List[Tuple[int, Dict[str, Any]]] = field(
-        default_factory=list)
-    channel_block: Dict[str, Any] = field(default_factory=dict)
-    #: (cell index, FctCollector | FctAggregator) where churn ran.
-    collectors: List[Tuple[int, Any]] = field(default_factory=list)
-    wall_s: float = 0.0
-    #: Telemetry products (None/empty when the run had no telemetry):
-    #: the shard's ``metrics_dict()["telemetry"]`` block, its retained
-    #: sample records (time order), and its live registry (merged by
-    #: the parent — disjoint names make the union exact).
-    telemetry_block: Optional[Dict[str, Any]] = None
-    telemetry_samples: List[Dict[str, Any]] = field(
-        default_factory=list)
-    telemetry_registry: Optional[MetricsRegistry] = None
-    telemetry_emitted: int = 0
-    telemetry_dropped: int = 0
-
-
 class ShardExecutionError(RuntimeError):
     """One shard raised; identifies the shard for fault isolation."""
 
@@ -170,70 +124,6 @@ class ShardExecutionError(RuntimeError):
         self.cells = cells
 
 
-def execute_shard(cfg, cell_indices: Tuple[int, ...],
-                  telemetry: Optional[TelemetryConfig] = None
-                  ) -> ShardOutcome:
-    """Run one channel's cells in a fresh simulator (the pool work
-    function — module-level so it pickles)."""
-    from .scenarios import _run_cells, driver_metrics_dict
-
-    started = time.perf_counter()
-    result = _run_cells(cfg, tuple(cell_indices), telemetry=telemetry)
-    per_flow = result.per_flow_goodput_mbps
-    tcp_flows: Dict[int, List[Tuple[int, float]]] = {}
-    udp_flows: Dict[int, List[Tuple[int, float, str]]] = {}
-    collectors: List[Tuple[int, Any]] = []
-    blocks: List[Tuple[int, Dict[str, Any]]] = []
-    for net, block in zip(result.cell_nets, result.cell_blocks):
-        tcp_flows[net.index] = [
-            (flow.flow_id, per_flow[flow.flow_id])
-            for flow in net.flows if flow.flow_id in per_flow]
-        udp_flows[net.index] = [
-            (pseudo_id, per_flow[pseudo_id], name)
-            for local, name in enumerate(net.udp_names)
-            for pseudo_id in (-(cfg.udp_index_base(net.index)
-                                + local + 1),)
-            if pseudo_id in per_flow]
-        if net.flow_manager is not None:
-            collectors.append((net.index, net.flow_manager.collector))
-        blocks.append((net.index, block))
-    channel = cfg.channel_of(cell_indices[0])
-    session = result.telemetry_session
-    return ShardOutcome(
-        channel=channel,
-        cell_indices=tuple(cell_indices),
-        tcp_flows_by_cell=tcp_flows,
-        udp_flows_by_cell=udp_flows,
-        completion_times_ns=dict(result.completion_times_ns),
-        sender_counters={k: dict(v)
-                         for k, v in result.sender_counters.items()},
-        mac_stats=result.mac_stats,
-        driver_metrics=driver_metrics_dict(result.drivers),
-        decomp_counters=dict(result.decomp_counters),
-        kernel_stats=dict(result.kernel_stats),
-        udp_background_goodput_mbps=dict(
-            result.udp_background_goodput_mbps),
-        rohc_counters=dict(result.rohc_counters),
-        aqm_counters=dict(result.aqm_counters),
-        adversary_counters=(dict(result.adversary_counters)
-                            if result.adversary_counters is not None
-                            else None),
-        cell_blocks=blocks,
-        channel_block=dict(result.channel_blocks[0]),
-        collectors=collectors,
-        wall_s=time.perf_counter() - started,
-        telemetry_block=result.telemetry,
-        telemetry_samples=(list(session.samples)
-                           if session is not None else []),
-        telemetry_registry=(session.registry
-                            if session is not None else None),
-        telemetry_emitted=(session.emitted
-                           if session is not None else 0),
-        telemetry_dropped=(session.dropped_samples
-                           if session is not None else 0),
-    )
-
-
 def _effective_jobs(shard_jobs: int, shard_count: int) -> int:
     """Clamp the worker count; fall back to serial shards inside a
     daemonic worker (a sweep pool's child cannot spawn its own pool —
@@ -244,23 +134,33 @@ def _effective_jobs(shard_jobs: int, shard_count: int) -> int:
     return jobs
 
 
-def run_sharded(cfg, plan: ShardPlan, shard_jobs: int,
-                telemetry: Optional[TelemetryConfig] = None):
-    """Execute every shard of ``plan`` and merge the outcomes.
+def _timed(cfg, cells: Tuple[int, ...], telemetry):
+    """One shard's result and its wall time (the pool work item)."""
+    from .scenarios import run_shard
 
-    ``shard_jobs=1`` runs shards serially in-process; ``N > 1`` fans
-    them over a process pool with the sweep engine's submit/poll
-    shape (``wait(FIRST_COMPLETED)``), so a slow channel never blocks
-    collection of the others.  Per-shard faults are isolated into
-    :class:`ShardExecutionError` naming the channel and cells.
+    started = time.perf_counter()
+    result = run_shard(cfg, cells, telemetry)
+    return result, time.perf_counter() - started
 
-    With ``telemetry`` set, each shard samples and times its own
-    kernel (``without_paths()`` — shards never write files); the merge
-    rebuilds the unsharded sample stream and registry and the *parent*
-    writes the JSONL artifact.  ``trace_export_path`` is refused: a
-    Chrome trace records one simulator's frames and cannot span
-    shards.
+
+def execute_plan(cfg, plan: ShardPlan, shard_jobs: Optional[int],
+                 telemetry=None):
+    """Run every shard of ``plan``; ``(results, shard_info)``.
+
+    Each shard is one :func:`~repro.workloads.scenarios.run_shard`.  A
+    one-shard plan runs in process and has no ``shard_info``.
+    Otherwise ``shard_jobs=1`` runs shards serially in process and
+    ``N > 1`` fans them over a process pool with the sweep engine's
+    submit/poll shape (``wait(FIRST_COMPLETED)``), so a slow channel
+    never blocks collection of the others; per-shard faults are
+    isolated into :class:`ShardExecutionError` naming the channel and
+    cells.  Frame traces record a single simulator, so a multi-shard
+    plan refuses ``cfg.trace`` and ``trace_export_path``.
     """
+    shards = plan.shards()
+    if len(shards) == 1:
+        from .scenarios import run_shard
+        return [run_shard(cfg, shards[0][1], telemetry)], None
     if cfg.trace:
         raise ValueError(
             "trace=True records a single simulator's frames; it "
@@ -269,25 +169,21 @@ def run_sharded(cfg, plan: ShardPlan, shard_jobs: int,
         raise ValueError(
             "trace_export_path records a single simulator's frames; "
             "it cannot span channel shards (run with shard_jobs=None)")
-    shard_telemetry = (telemetry.without_paths()
-                       if telemetry is not None else None)
-    shards = plan.shards()
     jobs = _effective_jobs(shard_jobs, plan.shard_count)
     started = time.perf_counter()
-    outcomes: Dict[int, ShardOutcome] = {}
+    done_by_channel: Dict[int, Tuple[Any, float]] = {}
     if jobs <= 1:
         for channel, cells in shards:
             try:
-                outcomes[channel] = execute_shard(cfg, cells,
-                                                  shard_telemetry)
+                done_by_channel[channel] = _timed(cfg, cells, telemetry)
             except Exception as exc:
                 raise ShardExecutionError(channel, cells, exc) from exc
         mode = "serial"
     else:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = {
-                pool.submit(execute_shard, cfg, cells,
-                            shard_telemetry): (channel, cells)
+                pool.submit(_timed, cfg, cells, telemetry):
+                (channel, cells)
                 for channel, cells in shards}
             pending = set(futures)
             while pending:
@@ -296,7 +192,7 @@ def run_sharded(cfg, plan: ShardPlan, shard_jobs: int,
                 for future in done:
                     channel, cells = futures[future]
                     try:
-                        outcomes[channel] = future.result()
+                        done_by_channel[channel] = future.result()
                     except Exception as exc:
                         raise ShardExecutionError(channel, cells,
                                                   exc) from exc
@@ -307,197 +203,150 @@ def run_sharded(cfg, plan: ShardPlan, shard_jobs: int,
         "requested_jobs": shard_jobs,
         "wall_s": time.perf_counter() - started,
         "shard_wall_s": {
-            str(channel): outcomes[channel].wall_s
-            for channel, _ in shards},
+            str(channel): done_by_channel[channel][1]
+            for channel in plan.channels},
         "plan": plan.describe(),
     }
-    return merge_outcomes(cfg, plan, outcomes, shard_info,
-                          telemetry=telemetry)
+    return ([done_by_channel[channel][0] for channel in plan.channels],
+            shard_info)
 
 
-def merge_outcomes(cfg, plan: ShardPlan,
-                   outcomes: Dict[int, ShardOutcome],
+def sum_counters(blocks: Iterable[Dict[str, int]],
+                 keys: Sequence[str] = ()) -> Dict[str, int]:
+    """Key-wise sum of counter dicts; ``keys`` are present even when
+    nothing counted them."""
+    out = dict.fromkeys(keys, 0)
+    for block in blocks:
+        for key, value in block.items():
+            out[key] = out.get(key, 0) + value
+    return out
+
+
+def merge_fct(collectors: Sequence[Any],
+              duration_ns: int) -> Optional[Dict[str, Any]]:
+    """The ``fct`` block of per-cell FCT collectors (ascending cell
+    order; ``FctCollector`` or ``FctAggregator``, None for a cell
+    without churn); None when no cell has churn."""
+    collectors = [c for c in collectors if c is not None]
+    if not collectors:
+        return None
+    if len(collectors) == 1:
+        return collectors[0].summary(duration_ns)
+    merged = type(collectors[0])()
+    for collector in collectors:
+        merged.merge(collector)
+    return merged.summary(duration_ns)
+
+
+def _by_abs_key(dicts: Iterable[Dict[int, Any]]) -> Dict[int, Any]:
+    """Union of per-flow dicts in ascending ``|flow id|``: static flow
+    ids and UDP pseudo-ids are minted in global cell order, so this is
+    the unsharded run's insertion order."""
+    return dict(sorted((item for d in dicts for item in d.items()),
+                       key=lambda item: abs(item[0])))
+
+
+def merge_outcomes(cfg, plan: ShardPlan, results: Sequence[Any],
                    shard_info: Optional[Dict[str, Any]] = None,
-                   telemetry: Optional[TelemetryConfig] = None):
-    """Reassemble one ScenarioResult from per-channel outcomes.
+                   telemetry=None):
+    """Fold the shard results of ``plan`` (plan order) into the run's
+    result, and write the run's telemetry artifact.
 
-    Ordering discipline: everything order-sensitive is rebuilt in the
-    *unsharded* run's order — static flows across all cells (ascending
-    cell), then UDP sinks across all cells; cell blocks ascending;
-    channel blocks in plan order; FCT collectors merged ascending by
-    cell.  Float reductions over those sequences are then bit-identical
-    to the single-simulator run.
-
-    Per-shard kernel counters (and telemetry blocks, when sampling
-    ran) are preserved verbatim as ``ScenarioResult.shard_blocks``;
-    the merged result's own ``kernel_stats`` is empty.
+    A lone result is returned unchanged: its own ``kernel_stats``, no
+    ``"shards"`` key, ``shard_info`` None.  Several are folded as the
+    module docstring describes; per-shard kernel counters (and
+    telemetry blocks, when sampling ran) are kept verbatim as
+    ``shard_blocks`` and the folded result's own ``kernel_stats`` is
+    empty.
     """
+    if len(results) == 1:
+        result = results[0]
+    else:
+        result = _fold(cfg, plan, results, shard_info, telemetry)
+    if telemetry is not None and telemetry.telemetry_path:
+        write_telemetry_file(
+            telemetry.telemetry_path,
+            telemetry_meta(cfg, telemetry, cfg.ordered_channels(),
+                           range(cfg.cells)),
+            result.telemetry_samples, result.telemetry)
+    return result
+
+
+def _fold(cfg, plan: ShardPlan, results: Sequence[Any],
+          shard_info: Optional[Dict[str, Any]], telemetry):
     from .scenarios import ScenarioResult
 
-    ordered = [outcomes[channel] for channel in plan.channels]
-    by_cell_tcp: Dict[int, List[Tuple[int, float]]] = {}
-    by_cell_udp: Dict[int, List[Tuple[int, float, str]]] = {}
-    for outcome in ordered:
-        by_cell_tcp.update(outcome.tcp_flows_by_cell)
-        by_cell_udp.update(outcome.udp_flows_by_cell)
-    all_cells = sorted(by_cell_tcp)
-
-    per_flow: Dict[int, float] = {}
-    for cell in all_cells:
-        for flow_id, mbps in by_cell_tcp[cell]:
-            per_flow[flow_id] = mbps
-    for cell in all_cells:
-        for pseudo_id, mbps, _name in by_cell_udp[cell]:
-            per_flow[pseudo_id] = mbps
-
-    completion: Dict[int, Optional[int]] = {}
-    sender_counters: Dict[int, Dict[str, int]] = {}
+    by_cell = sorted(
+        ((cell, block, collector)
+         for cells, result in zip(plan.cells_by_channel, results)
+         for cell, block, collector in zip(cells, result.cell_blocks,
+                                           result.cell_collectors)),
+        key=lambda item: item[0])
+    cell_blocks = [block for _, block, _ in by_cell]
+    cell_collectors = [collector for _, _, collector in by_cell]
+    channel_blocks = [block for result in results
+                      for block in result.channel_blocks]
     background: Dict[str, float] = {}
+    for block in cell_blocks:
+        background.update(block["udp_background_goodput_mbps"])
     driver_metrics: Dict[str, Dict[str, int]] = {}
     mac_stats = MacStats()
-    decomp: Dict[str, int] = {}
-    rohc: Dict[str, int] = {}
-    for outcome in ordered:
-        completion.update(outcome.completion_times_ns)
-        sender_counters.update(outcome.sender_counters)
-        background.update(outcome.udp_background_goodput_mbps)
-        driver_metrics.update(outcome.driver_metrics)
-        mac_stats.merge(outcome.mac_stats)
-        for key, value in outcome.decomp_counters.items():
-            decomp[key] = decomp.get(key, 0) + value
-        for key, value in outcome.rohc_counters.items():
-            rohc[key] = rohc.get(key, 0) + value
-    adversary_counters = merge_adversary_blocks(
-        outcome.adversary_counters for outcome in ordered)
-    aqm = merge_aqm_blocks(outcome.aqm_counters
-                           for outcome in ordered
-                           if outcome.aqm_counters)
+    for result in results:
+        driver_metrics.update(result.driver_metrics)
+        mac_stats.merge(result.mac_stats)
 
-    # Per-shard kernel/telemetry blocks, plan order: independent
-    # simulators' counters are reported, never summed.
-    shard_blocks = [
-        {
-            "channel": outcome.channel,
-            "cells": list(outcome.cell_indices),
-            "kernel_stats": dict(outcome.kernel_stats),
-            "telemetry": (dict(outcome.telemetry_block)
-                          if outcome.telemetry_block is not None
-                          else None),
-        }
-        for outcome in ordered]
-
-    collectors = sorted(
-        (pair for outcome in ordered for pair in outcome.collectors),
-        key=lambda pair: pair[0])
-    fct_summary: Optional[Dict[str, Any]] = None
-    if len(collectors) == 1:
-        fct_summary = collectors[0][1].summary(cfg.duration_ns)
-    elif collectors:
-        merged = type(collectors[0][1])()
-        for _, collector in collectors:
-            merged.merge(collector)
-        fct_summary = merged.summary(cfg.duration_ns)
-
-    cell_blocks = [
-        block for _, block in sorted(
-            (pair for outcome in ordered for pair in
-             outcome.cell_blocks),
-            key=lambda pair: pair[0])]
-    channel_blocks = [dict(outcome.channel_block)
-                      for outcome in ordered]
-    utilisation = sum(
-        block["utilisation"] for block in channel_blocks) \
-        / len(channel_blocks) if channel_blocks else 0.0
-
-    telemetry_block: Optional[Dict[str, Any]] = None
+    samples: List[Dict[str, Any]] = []
+    telemetry_summary: Optional[Dict[str, Any]] = None
     if telemetry is not None:
-        telemetry_block = _merge_telemetry(cfg, plan, ordered,
-                                           all_cells, telemetry)
+        order = {channel: index
+                 for index, channel in enumerate(plan.channels)}
+        samples = sorted(
+            (record for result in results
+             for record in result.telemetry_samples),
+            key=lambda record: (record["t_ns"], order[record["channel"]]))
+        spans = [result.telemetry["spans"] for result in results
+                 if result.telemetry["spans"]]
+        telemetry_summary = telemetry_block(
+            telemetry, samples,
+            merge_span_blocks(spans) if spans else None)
 
     return ScenarioResult(
         config=cfg,
-        per_flow_goodput_mbps=per_flow,
+        per_flow_goodput_mbps=_by_abs_key(
+            result.per_flow_goodput_mbps for result in results),
         mac_stats=mac_stats,
-        driver_stats={},
-        decomp_counters=decomp,
-        medium_frames_sent=sum(o.channel_block["frames_sent"]
-                               for o in ordered),
-        medium_frames_collided=sum(o.channel_block["frames_collided"]
-                                   for o in ordered),
-        medium_utilisation=utilisation,
-        completion_times_ns=completion,
-        sender_counters=sender_counters,
+        driver_metrics=driver_metrics,
+        decomp_counters=sum_counters(
+            result.decomp_counters for result in results),
+        medium_frames_sent=sum(block["frames_sent"]
+                               for block in channel_blocks),
+        medium_frames_collided=sum(block["frames_collided"]
+                                   for block in channel_blocks),
+        medium_utilisation=sum(block["utilisation"]
+                               for block in channel_blocks)
+        / len(channel_blocks),
+        completion_times_ns=_by_abs_key(
+            result.completion_times_ns for result in results),
+        sender_counters=_by_abs_key(
+            result.sender_counters for result in results),
         kernel_stats={},
-        fct=fct_summary,
+        rohc_counters=sum_counters(
+            result.rohc_counters for result in results),
+        aqm_counters=merge_aqm_blocks(
+            result.aqm_counters for result in results),
+        adversary_counters=merge_adversary_blocks(
+            result.adversary_counters for result in results),
+        fct=merge_fct(cell_collectors, cfg.duration_ns),
         udp_background_goodput_mbps=background,
         cell_blocks=cell_blocks,
         channel_blocks=channel_blocks,
-        driver_metrics=driver_metrics,
+        cell_collectors=cell_collectors,
         shard_info=shard_info,
-        shard_blocks=shard_blocks,
-        telemetry=telemetry_block,
-        rohc_counters=rohc,
-        aqm_counters=aqm,
-        adversary_counters=adversary_counters,
+        telemetry=telemetry_summary,
+        shard_blocks=[
+            {"channel": channel, "cells": list(cells),
+             "kernel_stats": dict(result.kernel_stats),
+             "telemetry": result.telemetry}
+            for (channel, cells), result in zip(plan.shards(), results)],
+        telemetry_samples=samples,
     )
-
-
-def _merge_telemetry(cfg, plan: ShardPlan,
-                     ordered: List[ShardOutcome],
-                     all_cells: List[int],
-                     telemetry: TelemetryConfig) -> Dict[str, Any]:
-    """Rebuild the unsharded telemetry block (and artifact) from the
-    per-shard products.
-
-    * Samples: every shard emitted exactly the per-channel records the
-      unsharded run would have for its channel, so sorting the union
-      by ``(t_ns, plan channel order)`` restores the unsharded stream
-      line-for-line.
-    * Registry: per-channel/per-cell metric names are disjoint across
-      shards, so merging is a disjoint union (plus the ``samples``
-      counter, which genuinely sums).
-    * Spans: wall times sum by owner (each shard timed its own
-      kernel).
-    """
-    channel_order = {channel: index
-                     for index, channel in enumerate(plan.channels)}
-    samples = sorted(
-        (record for outcome in ordered
-         for record in outcome.telemetry_samples),
-        key=lambda record: (record["t_ns"],
-                            channel_order[record["channel"]]))
-    registry = MetricsRegistry()
-    for outcome in ordered:
-        if outcome.telemetry_registry is not None:
-            registry.merge(outcome.telemetry_registry)
-    span_blocks = [outcome.telemetry_block.get("spans")
-                   for outcome in ordered
-                   if outcome.telemetry_block is not None]
-    spans = (merge_span_blocks([b for b in span_blocks if b])
-             if any(span_blocks) else None)
-    emitted = sum(o.telemetry_emitted for o in ordered)
-    dropped = sum(o.telemetry_dropped for o in ordered)
-    block: Dict[str, Any] = {
-        "sample_interval_ns": telemetry.sample_interval_ns,
-        "samples": emitted,
-        "retained_samples": len(samples),
-        "dropped_samples": dropped,
-        "metrics": registry.as_dict(),
-        "enabled": True,
-        "spans": spans,
-    }
-    if telemetry.telemetry_path:
-        summary = {
-            "type": "summary",
-            "sample_interval_ns": telemetry.sample_interval_ns,
-            "samples": emitted,
-            "retained_samples": len(samples),
-            "dropped_samples": dropped,
-            "metrics": registry.as_dict(),
-        }
-        write_telemetry_file(
-            telemetry.telemetry_path,
-            telemetry_meta(cfg, telemetry, list(plan.channels),
-                           all_cells),
-            samples, summary, spans)
-    return block

@@ -9,6 +9,7 @@ from repro.rohc.compressor import Compressor
 from repro.rohc.decompressor import Decompressor
 from repro.rohc.context import cid_for_flow
 from repro.traffic import ArrivalSpec, SizeSpec
+from repro.workloads.scenarios import LiveShard
 
 
 def churn_config(**overrides):
@@ -24,16 +25,22 @@ def churn_config(**overrides):
     return ScenarioConfig(**base)
 
 
+def run_live(cfg):
+    """Run ``cfg`` keeping its live objects: (shard, result)."""
+    shard = LiveShard(cfg).run()
+    return shard, shard.collect()
+
+
 class TestLifecycle:
     def test_flows_complete_and_are_torn_down(self):
-        res = run_scenario(churn_config())
-        manager = res.traffic_manager
+        shard, res = run_live(churn_config())
+        manager = shard.cells[0].flow_manager
         assert manager.flows_spawned == 3
         assert manager.flows_completed == 3
         assert manager.live == {}
         # Endpoint maps are empty again: state was reclaimed.
-        assert res.clients["C1"].receivers == {}
-        assert res.clients["C2"].receivers == {}
+        assert shard.builder.clients["C1"].receivers == {}
+        assert shard.builder.clients["C2"].receivers == {}
         assert res.fct["flows_completed"] == 3
         assert res.fct["flows_censored"] == 0
         for record in res.fct["flows"]:
@@ -42,7 +49,7 @@ class TestLifecycle:
             assert record["fct_ms"] > 0
 
     def test_censored_flow_keeps_partial_bytes(self):
-        res = run_scenario(churn_config(
+        shard, res = run_live(churn_config(
             arrivals=ArrivalSpec(
                 kind="trace", trace=((0.0, 0, 50_000_000),)),
             duration_ns=300 * MS, warmup_ns=100 * MS))
@@ -53,37 +60,37 @@ class TestLifecycle:
         assert 0 < record["bytes_delivered"] < 50_000_000
         assert res.fct["fct_ms"]["flows"] == 0   # zero-count block
         # Still live at run end, so nothing was reclaimed yet.
-        assert len(res.traffic_manager.live) == 1
+        assert len(shard.cells[0].flow_manager.live) == 1
         assert res.fct["carried_load_mbps"] < \
             res.fct["offered_load_mbps"]
 
     def test_upload_direction(self):
-        res = run_scenario(churn_config(
+        shard, res = run_live(churn_config(
             arrivals=ArrivalSpec(
                 kind="trace", direction="upload",
                 trace=((0.0, 0, 100_000), (10.0, 1, 100_000)))))
         assert res.fct["flows_completed"] == 2
-        assert res.clients["C1"].senders == {}
+        assert shard.builder.clients["C1"].senders == {}
         # The server-side receiver map was reclaimed too.
-        assert res.traffic_manager.server.receivers == {}
+        assert shard.cells[0].flow_manager.server.receivers == {}
 
     def test_hack_contexts_released_after_churn(self):
-        res = run_scenario(churn_config(
+        shard, res = run_live(churn_config(
             arrivals=ArrivalSpec(
                 kind="poisson", rate_per_s=60.0,
                 size=SizeSpec(kind="fixed", bytes=30_000)),
             duration_ns=1 * SEC))
         assert res.fct["flows_completed"] > 20
-        live = len(res.traffic_manager.live)
-        for driver in res.drivers.values():
+        live = len(shard.cells[0].flow_manager.live)
+        for driver in shard.builder.drivers.values():
             for ps in driver._peers.values():
                 assert len(ps.compressor.contexts) <= live
                 assert len(ps.decompressor.contexts) <= live
 
     def test_spawn_rejects_bad_size(self):
-        res = run_scenario(churn_config())
+        shard, _ = run_live(churn_config())
         with pytest.raises(ValueError, match="size must be positive"):
-            res.traffic_manager.spawn(0, "C1")
+            shard.cells[0].flow_manager.spawn(0, "C1")
 
     def test_dynamic_requires_arrivals(self):
         with pytest.raises(ValueError, match="requires an ArrivalSpec"):

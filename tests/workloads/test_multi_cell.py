@@ -16,6 +16,7 @@ from repro.sim.units import MS
 from repro.stats.fct import has_completions
 from repro.traffic.arrivals import ArrivalSpec, SizeSpec
 from repro.workloads import registry
+from repro.workloads.scenarios import LiveShard
 
 QUICK = dict(duration_ns=900 * MS, warmup_ns=400 * MS)
 
@@ -166,9 +167,12 @@ class TestContention:
 
 class TestMultiCellChurn:
     @pytest.fixture(scope="class")
-    def result(self):
-        return run_scenario(
-            registry.build("multi-ap-churn", **QUICK))
+    def shard(self):
+        return LiveShard(registry.build("multi-ap-churn", **QUICK)).run()
+
+    @pytest.fixture(scope="class")
+    def result(self, shard):
+        return shard.collect()
 
     def test_per_cell_fct_blocks(self, result):
         assert len(result.cell_blocks) == 2
@@ -188,14 +192,15 @@ class TestMultiCellChurn:
                 for b in result.cell_blocks))
         assert has_completions(merged["fct_ms"])
 
-    def test_per_cell_managers_tracked(self, result):
-        assert len(result.traffic_managers) == 2
-        assert result.traffic_manager is result.traffic_managers[0]
+    def test_per_cell_managers_tracked(self, shard, result):
+        managers = [net.flow_manager for net in shard.cells]
+        assert len(managers) == 2
+        # The plain result carries each cell manager's collector.
+        assert all(manager.collector is collector for manager, collector
+                   in zip(managers, result.cell_collectors))
         # Disjoint dynamic-flow id ranges per cell.
-        ids_a = {r.flow_id for r
-                 in result.traffic_managers[0].collector.records}
-        ids_b = {r.flow_id for r
-                 in result.traffic_managers[1].collector.records}
+        ids_a = {r.flow_id for r in managers[0].collector.records}
+        ids_b = {r.flow_id for r in managers[1].collector.records}
         assert ids_a and ids_b
         assert not ids_a & ids_b
         # Cell ranges are strided far apart: cell A can spawn ten

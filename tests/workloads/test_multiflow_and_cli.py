@@ -5,6 +5,7 @@ import pytest
 from repro import HackPolicy, ScenarioConfig, run_scenario
 from repro.cli import main as cli_main
 from repro.sim.units import MS, SEC
+from repro.workloads.scenarios import LiveShard
 
 
 class TestFlowsPerClient:
@@ -36,11 +37,12 @@ class TestFlowsPerClient:
         assert min(res.per_flow_goodput_mbps.values()) > 5
 
     def test_distinct_five_tuples(self):
-        res = run_scenario(ScenarioConfig(
+        shard = LiveShard(ScenarioConfig(
             phy_mode="11n", n_clients=1, flows_per_client=2,
             duration_ns=600 * MS, warmup_ns=300 * MS,
-            stagger_ns=10 * MS))
-        tuples = {f.sender.five_tuple.key() for f in res.flows}
+            stagger_ns=10 * MS)).run()
+        tuples = {f.sender.five_tuple.key()
+                  for f in shard.builder.flows}
         assert len(tuples) == 2
 
 

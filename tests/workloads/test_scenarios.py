@@ -50,7 +50,8 @@ class TestTcpDownload11n:
 
     def test_hack_attaches_payloads(self):
         res = run_scenario(quick(HackPolicy.MORE_DATA))
-        assert res.driver_stats["C1"].hack_frames_attached > 0
+        drivers = res.metrics_dict()["drivers"]
+        assert drivers["C1"]["hack_frames_attached"] > 0
         assert res.decomp_counters["acks_reconstructed"] > 100
 
     def test_augmented_acks_fit_aifs(self):
@@ -114,7 +115,8 @@ class TestUpload:
         assert vanilla.aggregate_goodput_mbps > 50
         assert hack.aggregate_goodput_mbps > \
             vanilla.aggregate_goodput_mbps
-        assert hack.driver_stats["AP"].hack_frames_attached > 0
+        assert hack.metrics_dict()["drivers"]["AP"][
+            "hack_frames_attached"] > 0
 
 
 class TestLossy:

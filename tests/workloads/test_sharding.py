@@ -18,14 +18,15 @@ existed.
 """
 
 import json
+import pickle
 
 import pytest
 
 from repro import ScenarioConfig, run_scenario
 from repro.sim.units import MS
 from repro.traffic.arrivals import ArrivalSpec, SizeSpec
-from repro.workloads.sharding import ShardExecutionError, ShardPlan, \
-    execute_shard
+from repro.workloads.scenarios import run_shard
+from repro.workloads.sharding import ShardExecutionError, ShardPlan
 
 from tests.workloads.test_multi_cell import base_config, normalised
 
@@ -138,6 +139,20 @@ class TestShardEquivalence:
         assert routed.shard_info is None
 
 
+class TestPlainResult:
+    @pytest.mark.parametrize("cfg, shard_jobs", [
+        (base_config(n_clients=1, seed=4), None),
+        (base_config(cells=3, channels=3, n_clients=1, seed=4), 1),
+    ], ids=["single-channel", "sharded-3-channel"])
+    def test_result_pickles_to_the_same_metrics(self, cfg, shard_jobs):
+        """A result is plain data: it survives a pickle round trip
+        (process pools, caches) with its metrics intact."""
+        result = run_scenario(cfg, shard_jobs=shard_jobs)
+        restored = pickle.loads(pickle.dumps(result))
+        assert restored.metrics_dict() == \
+            run_scenario(cfg, shard_jobs=shard_jobs).metrics_dict()
+
+
 class TestIsolationOracle:
     """N cells on N distinct channels == N isolated single-cell runs."""
 
@@ -146,13 +161,13 @@ class TestIsolationOracle:
         plan = ShardPlan.from_config(cfg)
         for channel, cells in plan.shards():
             assert len(cells) == 1
-            outcome = execute_shard(cfg, cells)
+            shard = run_shard(cfg, cells)
             cell = cells[0]
             block = dict(combined.cell_blocks[cell])
-            shard_block = dict(outcome.cell_blocks[0][1])
+            shard_block = dict(shard.cell_blocks[0])
             assert normalised(block) == normalised(shard_block)
-            assert outcome.channel_block == \
-                combined.channel_blocks[plan.channels.index(channel)]
+            assert shard.channel_blocks == \
+                [combined.channel_blocks[plan.channels.index(channel)]]
 
     def test_static_cells_isolated(self):
         self.assert_cells_match_isolated_runs(
