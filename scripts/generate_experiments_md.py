@@ -312,18 +312,21 @@ every historical row stays bit-identical (pinned by the golden rows;
 discipline, head drops, marks, dequeued count, and delivered-sojourn
 p50/p99 with the underlying log-spaced histogram (recorded for every
 discipline, drop-tail included, so AQM-vs-FIFO tail comparisons need
-no extra plumbing).  Channel shards merge the block exactly
-(`merge_aqm_blocks`: counters summed, histograms added bin-wise,
-percentiles recomputed — associative, so sharded runs stay
-bit-identical).
+no extra plumbing).  Each MAC keeps a `QdiscStats` — counters plus
+a `repro.stats.loghist.LogHistogram` of sojourn times, the same sparse
+log-histogram streaming FCT uses.  Stations, cells and channel shards
+merge these objects (counters summed, histograms added bin-wise —
+associative, so sharded runs stay bit-identical), and the run's merged
+stats are flattened into the block once.
 
 **Registered scenarios**: `churn-cubic-codel`, `churn-paced`,
 `aqm-fqcodel` (the standing-queue regime: 50 Mbps CBR UDP floor
 through FQ-CoDel).  The `aqm_pacing` experiment sweeps transport
 (reno / reno+pace / cubic / cubic+pace) x qdisc x HACK on/off under
-that load; CI's sweep-smoke job runs it `--quick --jobs 2` and gates
-on CoDel holding the stock transport's sojourn p99 below drop-tail's
-while actually head-dropping.
+that load; CI's sweep-smoke job runs it `--quick --jobs 2` and
+`tests/smoke/test_aqm_smoke.py` gates on CoDel holding the stock
+transport's sojourn p99 below drop-tail's while actually
+head-dropping.
 
 ```text
 python -m repro.cli simulate --cc cubic --pacing --qdisc codel
@@ -492,9 +495,11 @@ Three products per instrumented run:
   occupancy, written as JSONL (`meta` / `sample`* / `summary` /
   `spans` lines, `json.dumps(..., sort_keys=True)`).
 * **Metrics registry** — counters / gauges (last/min/max/mean) /
-  power-of-two histograms, surfaced as a `"telemetry"` block in
-  `metrics_dict()` (excluded from sweep cache signatures and cached
-  records).
+  power-of-two histograms of integer queue depths (kept apart from the
+  millisecond log-histogram: their bucket keys are part of the
+  telemetry artifact), rebuilt from the sample stream and surfaced as
+  a `"telemetry"` block in `metrics_dict()` (excluded from sweep cache
+  signatures and cached records).
 
 Sharding law: sample records are per `(tick, channel)`, metric names
 are disjoint per channel/cell, so a channel shard emits *exactly* the

@@ -343,8 +343,8 @@ def _simulate(args: argparse.Namespace) -> int:
             print(f"  context recovery: {mean_ms:8.2f} ms mean, "
                   f"{rohc['recovery_frames_total']} HACK frames "
                   f"spent desynced")
-    aqm = result.aqm_counters
-    if aqm and (aqm["discipline"] != "droptail" or aqm["drops"]):
+    aqm = result.qdisc_stats.block(result.config.queue_discipline)
+    if aqm["discipline"] != "droptail" or aqm["drops"]:
         parts = [f"{aqm['drops']} drops",
                  f"{aqm['dequeued']} dequeued"]
         if aqm["sojourn_p99_ms"] is not None:

@@ -2,7 +2,7 @@
 
 Kernel span instrumentation (:mod:`~repro.obs.spans`), the periodic
 time-series sampler and telemetry session (:mod:`~repro.obs.sampler`),
-the mergeable metrics registry (:mod:`~repro.obs.metrics`),
+the metrics registry (:mod:`~repro.obs.metrics`),
 Chrome-trace export (:mod:`~repro.obs.export`) and the artifact
 reader/summarizer behind ``repro report`` (:mod:`~repro.obs.report`).
 

@@ -2,16 +2,16 @@
 
 The telemetry layer summarises a run's sample records into a
 :class:`MetricsRegistry`, which flattens to the ``"telemetry"`` block
-of ``ScenarioResult.metrics_dict()``.  Registries also merge exactly.
-Metric *names* carry the shard partition: every sampler metric is
+of ``ScenarioResult.metrics_dict()``.  Registries are never merged: a
+sharded run's fold sorts the union of its shards' sample records into
+the unsharded stream and summarises that once
+(:func:`repro.obs.sampler.telemetry_block`).  Metric *names* are
 namespaced by channel or cell (``channel0.utilisation``,
-``cell3.ap_queue``), so a merged registry is the disjoint union of the
-per-shard registries and ``as_dict()`` (sorted by name) is
-bit-identical to the unsharded run's.
+``cell3.ap_queue``) and ``as_dict()`` sorts by name, so insertion
+order never leaks into the block.
 
 All three metric kinds hold only plain ints/floats, so registries
-pickle across the shard process boundary and JSON-serialise without
-custom encoders.
+JSON-serialise without custom encoders.
 """
 
 from __future__ import annotations
@@ -32,9 +32,6 @@ class Counter:
 
     def as_value(self) -> int:
         return self.value
-
-    def merge(self, other: "Counter") -> None:
-        self.value += other.value
 
 
 class Gauge:
@@ -73,29 +70,15 @@ class Gauge:
             "count": self.count,
         }
 
-    def merge(self, other: "Gauge") -> None:
-        if other.count == 0:
-            return
-        if self.count == 0:
-            self.last = other.last
-        if self.min is None or (other.min is not None
-                                and other.min < self.min):
-            self.min = other.min
-        if self.max is None or (other.max is not None
-                                and other.max > self.max):
-            self.max = other.max
-        self.total += other.total
-        self.count += other.count
-        self.last = other.last
-
 
 class Histogram:
     """Power-of-two bucketed distribution of non-negative values.
 
     Bucket ``k`` counts observations in ``[2^(k-1), 2^k)`` (bucket 0
-    is exactly zero), the same log-bucketing discipline the streaming
-    FCT aggregator uses.  Merging sums bucket counts, so shard-merged
-    distributions equal the unsharded ones exactly.
+    is exactly zero).  Deliberately not the millisecond
+    :class:`~repro.stats.loghist.LogHistogram`: it bins integer queue
+    depths, and its bucket keys are part of the ``TELEMETRY_VERSION``
+    1 artifact.
     """
 
     __slots__ = ("buckets", "count", "total")
@@ -121,12 +104,6 @@ class Histogram:
             "buckets": {str(k): self.buckets[k]
                         for k in sorted(self.buckets)},
         }
-
-    def merge(self, other: "Histogram") -> None:
-        for bucket, count in other.buckets.items():
-            self.buckets[bucket] = self.buckets.get(bucket, 0) + count
-        self.count += other.count
-        self.total += other.total
 
 
 class MetricsRegistry:
@@ -159,8 +136,7 @@ class MetricsRegistry:
 
     def as_dict(self) -> Dict[str, Any]:
         """JSON-able flattening, sorted by metric name — so insertion
-        order (which differs between unsharded and shard-merged
-        registries) never leaks into the telemetry block."""
+        order never leaks into the telemetry block."""
         return {
             "counters": {name: self._counters[name].as_value()
                          for name in sorted(self._counters)},
@@ -169,11 +145,3 @@ class MetricsRegistry:
             "histograms": {name: self._histograms[name].as_value()
                            for name in sorted(self._histograms)},
         }
-
-    def merge(self, other: "MetricsRegistry") -> None:
-        for name, counter in other._counters.items():
-            self.counter(name).merge(counter)
-        for name, gauge in other._gauges.items():
-            self.gauge(name).merge(gauge)
-        for name, histogram in other._histograms.items():
-            self.histogram(name).merge(histogram)

@@ -45,6 +45,7 @@ import os
 from dataclasses import dataclass
 from typing import Any, Dict, IO, List, Optional, Sequence, Tuple
 
+from ..mac.qdisc import QdiscStats
 from ..sim.units import MS
 from .metrics import MetricsRegistry
 from .spans import KernelInstrument
@@ -116,16 +117,6 @@ def telemetry_meta(cfg, config: TelemetryConfig,
             "mutate_mode": adversary.mutate_mode,
         }
     return meta
-
-
-def _cell_sojourn_p99(net) -> float:
-    """Delivered-packet sojourn p99 (ms) across one cell's stations;
-    0.0 until anything has been dequeued (keeps the gauge numeric)."""
-    from ..mac.qdisc import merge_aqm_blocks
-
-    block = merge_aqm_blocks(driver.mac.aqm_stats()
-                             for driver in net.drivers.values())
-    return block["sojourn_p99_ms"] or 0.0
 
 
 def telemetry_block(config: TelemetryConfig,
@@ -254,6 +245,9 @@ class TelemetrySession:
         down, up = net.server.link.queue_depths()
         live = len(net.flow_manager.live) \
             if net.flow_manager is not None else 0
+        qdisc = QdiscStats()
+        for driver in net.drivers.values():
+            qdisc.merge(driver.mac.qdisc_stats)
         record = {
             "cell": net.index,
             "label": self.cfg.cell_label(net.index),
@@ -271,9 +265,9 @@ class TelemetrySession:
             # AQM head drops, and the delivered-sojourn p99 so far.
             "aqm_backlog": sum(driver.mac.total_backlog()
                                for driver in net.drivers.values()),
-            "aqm_drops": sum(driver.mac.qdisc_stats.drops
-                             for driver in net.drivers.values()),
-            "aqm_sojourn_p99_ms": _cell_sojourn_p99(net),
+            "aqm_drops": qdisc.drops,
+            # 0.0 until anything is dequeued: keeps the gauge numeric.
+            "aqm_sojourn_p99_ms": qdisc.sojourn_percentile(0.99) or 0.0,
         }
         return record
 

@@ -26,13 +26,12 @@ Two collection modes share one interface (``open`` / ``close`` /
   and the summary carries the full per-flow list.  Memory is O(flows).
 * :class:`FctAggregator` — the *streaming* mode behind
   ``ScenarioConfig.stream_stats``: completed flows are folded into
-  log-spaced histograms and forgotten, so memory is O(live flows +
-  occupied bins) — independent of how many flows the run spawns.
-  Percentiles come from the histogram at a documented resolution
-  (:data:`FctAggregator.BINS_PER_DECADE` bins per decade; every
-  reported percentile is within one bin — a factor of
-  ``10 ** (1 / BINS_PER_DECADE)``, about 2.3% — of the exact order
-  statistic).  Counts, means, min/max and load accounting stay exact.
+  log-histograms (:class:`~repro.stats.loghist.LogHistogram`) and
+  forgotten, so memory is O(live flows + occupied bins) — independent
+  of how many flows the run spawns.  Percentiles are read off the
+  histograms, so each is within one bin (the resolution documented in
+  :mod:`repro.stats.loghist`) of the exact order statistic.  Counts,
+  means, min/max and load accounting stay exact.
 """
 
 from __future__ import annotations
@@ -42,6 +41,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..sim.units import MS
+from .loghist import BINS_PER_DECADE, LogHistogram
 
 #: Size-bin upper bounds (bytes) and their stable labels, mice first.
 SIZE_BINS: Tuple[Tuple[Optional[int], str], ...] = (
@@ -229,39 +229,64 @@ class FctCollector:
 
 
 class _StreamBin:
-    """Online accumulator for one population (overall or a size bin)."""
+    """Online accumulator for one population (overall or a size bin):
+    exact total/min/max next to the log-histogram of FCTs."""
 
-    __slots__ = ("count", "total", "minimum", "maximum", "histogram")
+    __slots__ = ("total", "minimum", "maximum", "histogram")
 
     def __init__(self) -> None:
-        self.count = 0
         self.total = 0.0
         self.minimum = math.inf
         self.maximum = -math.inf
-        #: log-bin index -> completed-flow count (sparse).
-        self.histogram: Dict[int, int] = {}
+        self.histogram = LogHistogram()
 
-    def add(self, fct_ms: float, bin_index: int) -> None:
-        self.count += 1
+    @property
+    def count(self) -> int:
+        return self.histogram.count
+
+    def add(self, fct_ms: float) -> None:
         self.total += fct_ms
         if fct_ms < self.minimum:
             self.minimum = fct_ms
         if fct_ms > self.maximum:
             self.maximum = fct_ms
-        self.histogram[bin_index] = \
-            self.histogram.get(bin_index, 0) + 1
+        self.histogram.add(fct_ms)
 
     def merge(self, other: "_StreamBin") -> None:
         """Fold another population in; exact fields stay exact."""
-        self.count += other.count
         self.total += other.total
         if other.minimum < self.minimum:
             self.minimum = other.minimum
         if other.maximum > self.maximum:
             self.maximum = other.maximum
-        for index, count in other.histogram.items():
-            self.histogram[index] = \
-                self.histogram.get(index, 0) + count
+        self.histogram.merge(other.histogram)
+
+    def percentile(self, fraction: float) -> float:
+        """Rank-interpolated percentile, mirroring :func:`percentile`:
+        the bin values at the floor and ceiling ranks of
+        ``fraction * (count - 1)`` are linearly interpolated, then
+        clamped into the exact ``[min, max]``."""
+        position = fraction * (self.count - 1)
+        lower = int(position)
+        weight = position - lower
+        value = self.histogram.value_at_rank(lower)
+        if weight > 0:
+            value = (value * (1.0 - weight)
+                     + self.histogram.value_at_rank(lower + 1) * weight)
+        # Min/max are exact; clamping the quantised percentile into
+        # their range keeps one summary self-consistent (never
+        # p99 > max) and only ever reduces the error.
+        return min(max(value, self.minimum), self.maximum)
+
+    def distribution(self) -> Dict[str, float]:
+        return {
+            "p50": self.percentile(0.50),
+            "p95": self.percentile(0.95),
+            "p99": self.percentile(0.99),
+            "mean": self.total / self.count,
+            "min": self.minimum,
+            "max": self.maximum,
+        }
 
 
 class FctAggregator:
@@ -269,9 +294,9 @@ class FctAggregator:
 
     Interface-compatible with :class:`FctCollector` (``open`` /
     ``close`` / ``summary``) but nothing is retained per flow once it
-    closes: completed FCTs are folded into log-spaced histograms
-    (:data:`BINS_PER_DECADE` bins per decade of milliseconds) and the
-    record object is dropped.  Peak memory is therefore
+    closes: completed FCTs are folded into log-histograms
+    (:mod:`repro.stats.loghist`) and the record object is dropped.
+    Peak memory is therefore
 
         O(concurrently live flows + occupied histogram bins)
 
@@ -279,23 +304,14 @@ class FctAggregator:
     what lets million-flow churn cells run inside hundred-cell sweeps.
 
     **Percentile resolution** (documented contract, tested in
-    ``tests/stats/test_fct_stream.py``): a reported percentile is the
-    log-midpoint of the histogram bin holding the corresponding order
-    statistic (rank interpolation matching :func:`percentile`), so it
-    is within one bin — a multiplicative factor of
-    ``10 ** (1 / BINS_PER_DECADE)`` ≈ 2.33% — of the exact value.
-    Counts, mean, min/max, offered/carried load and size-bin tallies
-    are exact; only percentiles are quantised.
+    ``tests/stats/test_fct_stream.py``): a reported percentile
+    interpolates the log-midpoints of the bins holding the
+    corresponding order statistics (rank interpolation matching
+    :func:`percentile`), so it is within one bin — a multiplicative
+    factor of ``10 ** (1 / BINS_PER_DECADE)`` ≈ 2.33% — of the exact
+    value.  Counts, mean, min/max, offered/carried load and size-bin
+    tallies are exact; only percentiles are quantised.
     """
-
-    #: Histogram resolution: 100 log-bins per decade of milliseconds
-    #: (bin edges at 10**(i/100) ms), i.e. ~2.33% relative bin width.
-    BINS_PER_DECADE = 100
-
-    #: FCTs at or below this floor (ms) all land in the lowest bin;
-    #: simulated flows take at least microseconds so this is never hit
-    #: in practice, but it keeps ``log10`` total.
-    MIN_FCT_MS = 1e-6
 
     def __init__(self) -> None:
         self.spawned = 0
@@ -332,13 +348,12 @@ class FctAggregator:
             return
         self.carried_bytes += record.size_bytes
         fct_ms = record.fct_ns / MS
-        index = self._bin_index(fct_ms)
-        self.overall.add(fct_ms, index)
+        self.overall.add(fct_ms)
         label = size_bin_label(record.size_bytes)
         per_size = self.by_size.get(label)
         if per_size is None:
             per_size = self.by_size[label] = _StreamBin()
-        per_size.add(fct_ms, index)
+        per_size.add(fct_ms)
 
     def merge(self, other: "FctAggregator") -> None:
         """Fold another aggregator in (multi-cell runs merge per-cell
@@ -368,17 +383,6 @@ class FctAggregator:
                 mine = self.by_size[label] = _StreamBin()
             mine.merge(bin_)
 
-    @classmethod
-    def _bin_index(cls, fct_ms: float) -> int:
-        return math.floor(
-            math.log10(max(fct_ms, cls.MIN_FCT_MS))
-            * cls.BINS_PER_DECADE)
-
-    @classmethod
-    def _bin_value(cls, index: int) -> float:
-        """Representative FCT of one bin: its log-midpoint."""
-        return 10.0 ** ((index + 0.5) / cls.BINS_PER_DECADE)
-
     # -- views ---------------------------------------------------------
     @property
     def completed_count(self) -> int:
@@ -386,55 +390,9 @@ class FctAggregator:
 
     def occupied_bins(self) -> int:
         """Histogram cells in use (the non-live part of peak memory)."""
-        return (len(self.overall.histogram)
-                + sum(len(b.histogram)
+        return (len(self.overall.histogram.bins)
+                + sum(len(b.histogram.bins)
                       for b in self.by_size.values()))
-
-    @classmethod
-    def _histogram_percentile(cls, histogram: Dict[int, int],
-                              count: int, fraction: float) -> float:
-        """Rank-interpolated percentile over a sparse log histogram.
-
-        Mirrors :func:`percentile`: the target position is
-        ``fraction * (count - 1)``; the values at its floor and
-        ceiling ranks are approximated by their bins' log-midpoints
-        and linearly interpolated."""
-        position = fraction * (count - 1)
-        lower_rank = int(position)
-        weight = position - lower_rank
-        lower_value: Optional[float] = None
-        upper_value: Optional[float] = None
-        seen = 0
-        for index in sorted(histogram):
-            seen += histogram[index]
-            if lower_value is None and seen > lower_rank:
-                lower_value = cls._bin_value(index)
-            if seen > lower_rank + (1 if weight > 0 else 0):
-                upper_value = cls._bin_value(index)
-                break
-        assert lower_value is not None
-        if upper_value is None or weight == 0:
-            return lower_value
-        return lower_value * (1.0 - weight) + upper_value * weight
-
-    @classmethod
-    def _stream_distribution(cls, bin_: _StreamBin) -> Dict[str, float]:
-        def pct(fraction: float) -> float:
-            value = cls._histogram_percentile(
-                bin_.histogram, bin_.count, fraction)
-            # Min/max are exact; clamping the quantised percentile
-            # into their range keeps one summary self-consistent
-            # (never p99 > max) and only ever reduces the error.
-            return min(max(value, bin_.minimum), bin_.maximum)
-
-        return {
-            "p50": pct(0.50),
-            "p95": pct(0.95),
-            "p99": pct(0.99),
-            "mean": bin_.total / bin_.count,
-            "min": bin_.minimum,
-            "max": bin_.maximum,
-        }
 
     def summary(self, duration_ns: int,
                 include_flows: bool = True) -> Dict[str, Any]:
@@ -447,13 +405,13 @@ class FctAggregator:
         for _, label in SIZE_BINS:
             bin_ = self.by_size.get(label)
             if bin_ is not None and bin_.count:
-                by_size[label] = dict(
-                    self._stream_distribution(bin_), flows=bin_.count)
+                by_size[label] = dict(bin_.distribution(),
+                                      flows=bin_.count)
         return {
             "flows_spawned": self.spawned,
             "flows_completed": done,
             "flows_censored": self.spawned - done,
-            "fct_ms": self._stream_distribution(self.overall)
+            "fct_ms": self.overall.distribution()
             if done else zero_distribution(),
             "fct_by_size_ms": by_size,
             "offered_load_mbps":
@@ -463,9 +421,9 @@ class FctAggregator:
                 self.carried_bytes * 8 * 1_000.0 / duration_ns
                 if duration_ns > 0 else 0.0,
             "streaming": {
-                "bins_per_decade": self.BINS_PER_DECADE,
+                "bins_per_decade": BINS_PER_DECADE,
                 "relative_resolution":
-                    10.0 ** (1.0 / self.BINS_PER_DECADE) - 1.0,
+                    10.0 ** (1.0 / BINS_PER_DECADE) - 1.0,
                 "occupied_bins": self.occupied_bins(),
                 "max_live_records": self.max_live,
             },

@@ -45,7 +45,7 @@ from ..core.driver import HackDriver
 from ..core.policies import HackConfig, HackPolicy
 from ..mac.dcf import DcfMac
 from ..mac.params import MacParams
-from ..mac.qdisc import merge_aqm_blocks
+from ..mac.qdisc import QdiscStats
 from ..mac.rate_control import Aarf
 from ..obs import TelemetryConfig, TelemetrySession, chrome_trace, \
     write_chrome_trace
@@ -345,10 +345,11 @@ class ScenarioResult:
     #: summed across drivers — desyncs, recoveries, aborted frames,
     #: chain repairs.  All zero in cooperative runs.
     rohc_counters: Dict[str, int] = field(default_factory=dict)
-    #: Queue-discipline block (``metrics_dict()["aqm"]``) merged over
-    #: every station's MAC queues — AQM drops, marks, and delivered-
-    #: packet sojourn percentiles (see ``repro.mac.qdisc``).
-    aqm_counters: Dict[str, Any] = field(default_factory=dict)
+    #: Queue-discipline stats merged over every station's MAC queues
+    #: — AQM drops, marks and the delivered-packet sojourn histogram;
+    #: flattened once, as ``metrics_dict()["aqm"]`` (see
+    #: ``repro.mac.qdisc``).
+    qdisc_stats: QdiscStats = field(default_factory=QdiscStats)
     #: The ``metrics_dict()["adversary"]`` block — present exactly when
     #: ``config.adversary`` is set (zeroed counters for inert plans).
     adversary_counters: Optional[Dict[str, Any]] = None
@@ -448,7 +449,7 @@ class ScenarioResult:
             "cell_fairness_index": self.cell_fairness_index,
             "channels": [dict(block) for block in self.channel_blocks],
             "rohc": dict(self.rohc_counters),
-            "aqm": dict(self.aqm_counters),
+            "aqm": self.qdisc_stats.block(self.config.queue_discipline),
         }
         # Conditional keys: absent unless the run opted in, so every
         # telemetry-off metrics dict (golden rows, cached sweep
@@ -965,6 +966,9 @@ class LiveShard:
             if mbps is not None:
                 background_mbps[name] = mbps
 
+        qdisc_stats = QdiscStats()
+        for driver in drivers.values():
+            qdisc_stats.merge(driver.mac.qdisc_stats)
         collectors = [net.flow_manager.collector
                       if net.flow_manager is not None else None
                       for net in self.cells]
@@ -999,8 +1003,7 @@ class LiveShard:
                 (driver.rohc_robustness_counters()
                  for driver in drivers.values()),
                 HackDriver.ROHC_ROBUSTNESS_KEYS),
-            aqm_counters=merge_aqm_blocks(
-                driver.mac.aqm_stats() for driver in drivers.values()),
+            qdisc_stats=qdisc_stats,
             adversary_counters=(
                 adversary_block(cfg.adversary, self.adversary_runtime)
                 if cfg.adversary is not None else None),

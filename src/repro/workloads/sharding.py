@@ -56,7 +56,7 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, \
     Tuple
 
 from ..adversary.runtime import merge_adversary_blocks
-from ..mac.qdisc import merge_aqm_blocks
+from ..mac.qdisc import QdiscStats
 from ..obs import merge_span_blocks, telemetry_block, telemetry_meta, \
     write_telemetry_file
 from ..stats.collectors import MacStats
@@ -291,9 +291,11 @@ def _fold(cfg, plan: ShardPlan, results: Sequence[Any],
         background.update(block["udp_background_goodput_mbps"])
     driver_metrics: Dict[str, Dict[str, int]] = {}
     mac_stats = MacStats()
+    qdisc_stats = QdiscStats()
     for result in results:
         driver_metrics.update(result.driver_metrics)
         mac_stats.merge(result.mac_stats)
+        qdisc_stats.merge(result.qdisc_stats)
 
     samples: List[Dict[str, Any]] = []
     telemetry_summary: Optional[Dict[str, Any]] = None
@@ -332,8 +334,7 @@ def _fold(cfg, plan: ShardPlan, results: Sequence[Any],
         kernel_stats={},
         rohc_counters=sum_counters(
             result.rohc_counters for result in results),
-        aqm_counters=merge_aqm_blocks(
-            result.aqm_counters for result in results),
+        qdisc_stats=qdisc_stats,
         adversary_counters=merge_adversary_blocks(
             result.adversary_counters for result in results),
         fct=merge_fct(cell_collectors, cfg.duration_ns),

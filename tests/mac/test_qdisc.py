@@ -1,11 +1,12 @@
 """Queue disciplines: DropTail timestamps, CoDel head-drop state
-machine, FQ-CoDel DRR, the shared stats block, and the shard merge."""
+machine, FQ-CoDel DRR, the shared stats block, and ``QdiscStats.merge``
+(the station / cell / shard fold)."""
 
 import pytest
 
 from repro.mac.params import MacParams
 from repro.mac.qdisc import CoDelQueue, DropTailQueue, FqCodelQueue, \
-    QdiscStats, make_queue, merge_aqm_blocks
+    QdiscStats, make_queue
 from repro.sim.units import MS
 
 from tests.helpers import FakePayload
@@ -34,9 +35,9 @@ class TestDropTailQueue:
         q.append(FakePayload())
         sim.run(until=3 * MS)
         q.popleft()
-        assert stats.dequeued == 1
+        assert stats.sojourn.count == 1
         assert stats.drops == 0
-        assert stats.sojourn.percentile(0.5) == \
+        assert stats.sojourn_percentile(0.5) == \
             pytest.approx(3.0, rel=0.02)
 
     def test_len_bool_iter(self, sim):
@@ -61,7 +62,7 @@ class TestDropTailQueue:
         sim.run(until=10 * MS)
         q.popleft()
         # keep's arrival stamp survived the filter: 10 ms sojourn.
-        assert stats.sojourn.percentile(0.5) == \
+        assert stats.sojourn_percentile(0.5) == \
             pytest.approx(10.0, rel=0.02)
 
 
@@ -78,7 +79,7 @@ class TestCoDelQueue:
             sim.run(until=sim.now + 2 * MS)     # sojourn 2 ms < 5 ms
             q.popleft()
         assert stats.drops == 0
-        assert stats.dequeued == 50
+        assert stats.sojourn.count == 50
 
     def test_standing_queue_drops_after_interval(self, sim):
         stats = QdiscStats()
@@ -93,8 +94,8 @@ class TestCoDelQueue:
                 q.popleft()
                 drained += 1
         assert stats.drops > 0
-        assert stats.dequeued == drained
-        assert stats.drops + stats.dequeued == 40
+        assert stats.sojourn.count == drained
+        assert stats.drops + stats.sojourn.count == 40
 
     def test_first_interval_grace_period(self, sim):
         stats = QdiscStats()
@@ -241,17 +242,23 @@ class TestMakeQueue:
 
 
 class TestStatsAndMerge:
-    def drained_block(self, sim, discipline="droptail", n=5, gap=2 * MS):
+    def drained_stats(self, sim, n=5, gap=2 * MS):
         stats = QdiscStats()
         q = DropTailQueue(sim, stats)
         for _ in range(n):
             q.append(FakePayload())
             sim.run(until=sim.now + gap)
             q.popleft()
-        return stats.block(discipline)
+        return stats
+
+    def merged(self, parts):
+        total = QdiscStats()
+        for part in parts:
+            total.merge(part)
+        return total
 
     def test_block_shape(self, sim):
-        block = self.drained_block(sim)
+        block = self.drained_stats(sim).block("droptail")
         assert set(block) == {"discipline", "drops", "marks",
                               "dequeued", "sojourn_bins",
                               "sojourn_p50_ms", "sojourn_p99_ms"}
@@ -266,24 +273,32 @@ class TestStatsAndMerge:
         assert block["sojourn_p99_ms"] is None
 
     def test_merge_sums_and_recomputes(self, sim):
-        a = self.drained_block(sim, n=4, gap=1 * MS)
-        b = self.drained_block(sim, n=4, gap=20 * MS)
-        merged = merge_aqm_blocks([a, b])
+        a = self.drained_stats(sim, n=4, gap=1 * MS)
+        b = self.drained_stats(sim, n=4, gap=20 * MS)
+        merged = self.merged([a, b]).block("droptail")
         assert merged["dequeued"] == 8
         assert merged["drops"] == 0
         # The merged p99 reflects the slow half, not block a's alone.
-        assert merged["sojourn_p99_ms"] > a["sojourn_p99_ms"]
+        assert merged["sojourn_p99_ms"] > \
+            a.block("droptail")["sojourn_p99_ms"]
 
     def test_merge_is_associative(self, sim):
-        blocks = [self.drained_block(sim, n=3, gap=g)
-                  for g in (1 * MS, 5 * MS, 25 * MS)]
-        left = merge_aqm_blocks(
-            [merge_aqm_blocks(blocks[:2]), blocks[2]])
-        flat = merge_aqm_blocks(blocks)
-        assert left == flat
+        parts = [self.drained_stats(sim, n=3, gap=g)
+                 for g in (1 * MS, 5 * MS, 25 * MS)]
+        left = self.merged([self.merged(parts[:2]), parts[2]])
+        flat = self.merged(parts)
+        assert left.block("droptail") == flat.block("droptail")
 
     def test_merge_of_nothing_is_empty_droptail(self):
-        merged = merge_aqm_blocks([])
+        merged = self.merged([]).block("droptail")
         assert merged["discipline"] == "droptail"
         assert merged["dequeued"] == 0
         assert merged["sojourn_p99_ms"] is None
+
+    def test_merge_leaves_the_source_untouched(self, sim):
+        a = self.drained_stats(sim, n=3, gap=1 * MS)
+        b = self.drained_stats(sim, n=2, gap=8 * MS)
+        before = b.block("codel")
+        a.merge(b)
+        assert b.block("codel") == before
+        assert a.block("codel")["dequeued"] == 5

@@ -1,10 +1,10 @@
 """Unit oracles for the observability primitives.
 
-The registry's merge laws are what the shard pipeline leans on:
-disjointly-named metrics union exactly, same-named metrics combine the
-way each kind promises (counters sum, gauges pool min/max/mean,
-histograms sum buckets).  The kernel instrument's aggregation key must
-be stable across processes (class + method name, never object ids).
+Each metric kind summarises exactly what it observed (counters sum,
+gauges stream min/max/mean, histograms bucket by powers of two), and
+the registry is get-or-create with a name-sorted flattening.  The
+kernel instrument's aggregation key must be stable across processes
+(class + method name, never object ids).
 """
 
 import json
@@ -15,19 +15,11 @@ from repro.obs.metrics import Counter, Gauge, Histogram
 
 
 class TestCounter:
-    def test_inc_and_merge_sum(self):
-        a, b = Counter(), Counter()
+    def test_inc_sums(self):
+        a = Counter()
         a.inc()
         a.inc(4)
-        b.inc(10)
-        a.merge(b)
-        assert a.as_value() == 15
-
-    def test_merge_empty_is_identity(self):
-        a, b = Counter(), Counter()
-        a.inc(3)
-        a.merge(b)
-        assert a.as_value() == 3
+        assert a.as_value() == 5
 
 
 class TestGauge:
@@ -47,26 +39,6 @@ class TestGauge:
             "last": 0.0, "min": None, "max": None,
             "mean": 0.0, "count": 0}
 
-    def test_merge_pools_extremes_and_mean(self):
-        a, b = Gauge(), Gauge()
-        for value in (2.0, 6.0):
-            a.observe(value)
-        for value in (1.0, 9.0):
-            b.observe(value)
-        a.merge(b)
-        summary = a.as_value()
-        assert summary == {"last": 9.0, "min": 1.0, "max": 9.0,
-                           "mean": 4.5, "count": 4}
-
-    def test_merge_with_empty_sides(self):
-        a, b = Gauge(), Gauge()
-        b.observe(5.0)
-        a.merge(b)
-        assert a.as_value()["count"] == 1
-        assert a.as_value()["last"] == 5.0
-        b.merge(Gauge())
-        assert b.as_value()["count"] == 1
-
 
 class TestHistogram:
     def test_power_of_two_buckets(self):
@@ -77,15 +49,6 @@ class TestHistogram:
         # 0 -> bucket 0; 1 -> 1; 2,3 -> 2; 4 -> 3; 100 -> 7.
         assert buckets == {"0": 1, "1": 1, "2": 2, "3": 1, "7": 1}
         assert h.as_value()["count"] == 6
-
-    def test_merge_sums_buckets(self):
-        a, b = Histogram(), Histogram()
-        a.observe(2)
-        b.observe(3)
-        b.observe(0)
-        a.merge(b)
-        assert a.as_value()["buckets"] == {"0": 1, "2": 2}
-        assert a.as_value()["count"] == 3
 
 
 class TestRegistry:
@@ -103,22 +66,6 @@ class TestRegistry:
         payload = json.loads(json.dumps(registry.as_dict()))
         assert list(payload["counters"]) == ["a", "b"]
         assert payload["gauges"]["g"]["mean"] == 1.5
-
-    def test_disjoint_merge_is_union(self):
-        """The shard law: shard registries with disjoint names merge
-        into exactly the union, independent of merge order."""
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.gauge("channel0.utilisation").observe(0.5)
-        b.gauge("channel1.utilisation").observe(0.25)
-        a.counter("samples").inc(3)
-        b.counter("samples").inc(2)
-        merged = MetricsRegistry()
-        merged.merge(b)
-        merged.merge(a)
-        payload = merged.as_dict()
-        assert payload["counters"]["samples"] == 5
-        assert payload["gauges"]["channel0.utilisation"]["last"] == 0.5
-        assert payload["gauges"]["channel1.utilisation"]["max"] == 0.25
 
 
 class _Probe:

@@ -14,8 +14,9 @@ from hypothesis import given, settings, strategies as st
 from repro.sim.units import MS
 from repro.stats.fct import FctAggregator, FctCollector, \
     has_completions
+from repro.stats.loghist import BINS_PER_DECADE
 
-RESOLUTION = 10 ** (1 / FctAggregator.BINS_PER_DECADE) - 1
+RESOLUTION = 10 ** (1 / BINS_PER_DECADE) - 1
 
 #: (size_bytes, fct_ms or None for censored, delivered_bytes)
 FLOW = st.tuples(

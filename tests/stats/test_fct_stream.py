@@ -17,10 +17,11 @@ from hypothesis import given, settings, strategies as st
 from repro.sim.units import MS
 from repro.stats.fct import FctAggregator, FctCollector, \
     has_completions, percentile
+from repro.stats.loghist import BINS_PER_DECADE
 from repro.workloads import registry
 from repro.workloads.scenarios import run_scenario
 
-RESOLUTION = 10.0 ** (1.0 / FctAggregator.BINS_PER_DECADE) - 1.0
+RESOLUTION = 10.0 ** (1.0 / BINS_PER_DECADE) - 1.0
 
 
 def _feed(collector, flows):
@@ -157,7 +158,7 @@ class TestScenarioEquivalence:
         assert "flows" not in stream.fct
         block = stream.fct["streaming"]
         assert block["bins_per_decade"] == \
-            FctAggregator.BINS_PER_DECADE
+            BINS_PER_DECADE
         assert block["relative_resolution"] == \
             pytest.approx(RESOLUTION)
         assert block["max_live_records"] >= 1
